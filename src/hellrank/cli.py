@@ -35,10 +35,16 @@ METRICS = PER_NODE_METRICS + ["opsahl"]
 
 
 def compute_metric(
-    graph: BipartiteGraph, name: str, side: Side, mode: DistanceMode, damping: float, threads: int | None
+    graph: BipartiteGraph,
+    name: str,
+    side: Side,
+    mode: DistanceMode,
+    damping: float,
+    threads: int | None,
+    weighted: bool,
 ) -> CentralityScores:
     if name == "hellrank":
-        return hellrank(graph, side, mode, threads=threads)
+        return hellrank(graph, side, mode, weighted=weighted, threads=threads)
     if name == "degree2":
         return baselines.bipartite_degree(graph, side)
     if name == "closeness2":
@@ -87,7 +93,12 @@ def _add_common(p: argparse.ArgumentParser, needs_graph: bool = True) -> None:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", help="edge-list file path")
         src.add_argument("--dataset", choices=builtin_names(), help="builtin dataset")
-        p.add_argument("--weighted", action="store_true", help="third column is a link weight")
+        p.add_argument(
+            "--weighted",
+            action="store_true",
+            help="third column is a link weight; used by hellrank, distances and "
+            "threshold-graph, ignored by the baseline metrics",
+        )
         p.add_argument("--node-list", help="sidecar file declaring extra (isolated) nodes")
         p.add_argument("--side", choices=["left", "right"], default="left")
         p.add_argument("--mode", choices=["raw", "normalized"], default="normalized")
@@ -164,7 +175,7 @@ def _scores_command(args, out) -> None:
     names = PER_NODE_METRICS if args.metric == "all" else [args.metric]
     tables = {}
     for name in names:
-        t = compute_metric(graph, name, side, mode, args.damping, args.threads)
+        t = compute_metric(graph, name, side, mode, args.damping, args.threads, args.weighted)
         if args.normalize == "max":
             t = normalize_scores(t)
         tables[name] = t
@@ -187,8 +198,8 @@ def _scores_command(args, out) -> None:
 def _pair_tables(args, graph):
     side = Side(args.side)
     mode = DistanceMode(args.mode)
-    a = compute_metric(graph, args.metric_a, side, mode, args.damping, args.threads)
-    b = compute_metric(graph, args.metric_b, side, mode, args.damping, args.threads)
+    a = compute_metric(graph, args.metric_a, side, mode, args.damping, args.threads, args.weighted)
+    b = compute_metric(graph, args.metric_b, side, mode, args.damping, args.threads, args.weighted)
     return a, b
 
 
@@ -204,6 +215,7 @@ def run(argv: list[str] | None = None) -> int:
                     graph,
                     Side(args.side),
                     DistanceMode(args.mode),
+                    weighted=args.weighted,
                     force=args.force,
                     threads=args.threads,
                 )
@@ -240,7 +252,13 @@ def run(argv: list[str] | None = None) -> int:
                 rankeval.sweep_to_csv(rankeval.sweep_k(a, b, k_max), out)
             elif args.command == "threshold-graph":
                 graph = _load_graph(args)
-                m = distance_matrix(graph, Side(args.side), DistanceMode(args.mode), threads=args.threads)
+                m = distance_matrix(
+                    graph,
+                    Side(args.side),
+                    DistanceMode(args.mode),
+                    weighted=args.weighted,
+                    threads=args.threads,
+                )
                 tg = threshold_graph(m, args.threshold)
                 if args.format == "dot":
                     tg.to_dot(out)

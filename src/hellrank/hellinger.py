@@ -19,6 +19,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, TextIO
 
 import numpy as np
@@ -177,30 +178,41 @@ def _sqrt_mass_matrix(
     return labels, S, masses
 
 
-def _exact_sq_diff(S: sp.csr_matrix, i: int, j: int) -> float:
-    """||S_i - S_j||^2 by explicit subtraction (no cancellation)."""
-    ri = slice(S.indptr[i], S.indptr[i + 1])
-    rj = slice(S.indptr[j], S.indptr[j + 1])
-    di = dict(zip(S.indices[ri].tolist(), S.data[ri].tolist()))
-    dj = dict(zip(S.indices[rj].tolist(), S.data[rj].tolist()))
-    total = 0.0
-    for k in set(di) | set(dj):
-        diff = di.get(k, 0.0) - dj.get(k, 0.0)
-        total += diff * diff
-    return total
+def _unique_rows(
+    S: sp.csr_matrix, masses: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse S to its exactly-equal rows (with equal mass).
+
+    Returns (U, mu, inverse, counts): S[i] == U[inverse[i]], masses[i] ==
+    mu[inverse[i]], and counts[k] rows of S equal U[k].  U keeps first-seen
+    order.  Nodes with equal rows are at distance exactly 0 from each other
+    and at equal distances from every other node, so the kernel only needs
+    the unique rows.
+    """
+    first: dict[tuple[bytes, bytes, float], int] = {}
+    inverse = np.empty(S.shape[0], dtype=np.int64)
+    for i in range(S.shape[0]):
+        a, b = S.indptr[i], S.indptr[i + 1]
+        key = (S.indices[a:b].tobytes(), S.data[a:b].tobytes(), float(masses[i]))
+        inverse[i] = first.setdefault(key, len(first))
+    keep = np.unique(inverse, return_index=True)[1]
+    return S[keep], masses[keep], inverse, np.bincount(inverse)
 
 
 def _block_distances(S: sp.csr_matrix, masses: np.ndarray, lo: int, hi: int, coef: float) -> np.ndarray:
-    """Dense distance rows lo:hi against all columns."""
+    """Dense distance rows lo:hi against all columns; S has no two equal rows."""
     gram = (S[lo:hi] @ S.T).toarray()
     d2 = coef * (masses[lo:hi, None] + masses[None, :] - 2.0 * gram)
+    diag = np.arange(hi - lo)
+    d2[diag, lo + diag] = 0.0
     # the gram form cancels catastrophically when two vectors nearly coincide;
-    # recompute those few entries by direct subtraction so exact ties give 0
-    suspects = np.argwhere(d2 < 1e-9 * (masses[lo:hi, None] + masses[None, :] + 1.0))
-    for r, j in suspects:
-        i = lo + int(r)
-        j = int(j)
-        d2[r, j] = 0.0 if i == j else coef * _exact_sq_diff(S, i, j)
+    # recompute those few entries by direct subtraction
+    r, j = np.nonzero(d2 < 1e-9 * (masses[lo:hi, None] + masses[None, :] + 1.0))
+    off = lo + r != j
+    r, j = r[off], j[off]
+    if len(r):
+        diff = S[lo + r] - S[j]
+        d2[r, j] = coef * np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
 
@@ -239,13 +251,17 @@ def distance_matrix(
         raise MemoryError(
             f"side has {n} nodes (> cap {max_side}); pass force=True to override"
         )
+    U, mu, inverse, counts = _unique_rows(S, masses)
     coef = 0.5 if mode is DistanceMode.NORMALIZED else 1.0
     values = np.empty((n, n))
-    spans = _blocks(n, block)
-    rows = _run_blocks(lambda lo, hi: _block_distances(S, masses, lo, hi, coef), spans, threads)
-    for (lo, hi), r in zip(spans, rows):
-        values[lo:hi] = r
-    np.fill_diagonal(values, 0.0)
+
+    def fill(lo: int, hi: int) -> None:
+        # blocks own disjoint rows of values, so threads never write the same row
+        d = _block_distances(U, mu, lo, hi, coef)
+        rows = np.flatnonzero((inverse >= lo) & (inverse < hi))
+        values[rows] = d[inverse[rows] - lo][:, inverse]
+
+    _run_blocks(fill, _blocks(len(counts), block), threads)
     return DistanceMatrix(side=side, labels=labels, values=values, mode=mode)
 
 
@@ -259,23 +275,25 @@ def hellrank(
 ) -> CentralityScores:
     """Per-node score n / (sum of distances to every node of the side).
 
-    Row sums are streamed block by block, so the quadratic matrix is never
-    materialized.  If every pairwise distance is zero (structurally identical
-    nodes) all scores are 1.0 and a DegenerateDistancesWarning is emitted.
+    Row sums are streamed block by block over the distinct neighbor-degree
+    vectors, each weighted by how many nodes share it, so the quadratic matrix
+    is never materialized.  If every pairwise distance is zero (structurally
+    identical nodes) all scores are 1.0 and a DegenerateDistancesWarning is
+    emitted.
     """
     labels, S, masses = _sqrt_mass_matrix(graph, side, mode, weighted)
     n = len(labels)
     if n < 2:
         raise ValueError(f"side {side.value} needs >= 2 nodes, has {n}")
+    U, mu, inverse, counts = _unique_rows(S, masses)
     coef = 0.5 if mode is DistanceMode.NORMALIZED else 1.0
-    spans = _blocks(n, block)
 
     def row_sums(lo: int, hi: int) -> np.ndarray:
-        d = _block_distances(S, masses, lo, hi, coef)
-        d[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 0.0
+        d = _block_distances(U, mu, lo, hi, coef)
+        d *= counts
         return d.sum(axis=1)
 
-    sums = np.concatenate(_run_blocks(row_sums, spans, threads))
+    sums = np.concatenate(_run_blocks(row_sums, _blocks(len(counts), block), threads))[inverse]
     if not sums.any():
         warnings.warn(
             "all pairwise distances are zero; returning uniform scores",
@@ -297,9 +315,15 @@ class DistanceMatrix:
     values: np.ndarray
     mode: DistanceMode
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def __getitem__(self, pair: tuple[str, str]) -> float:
-        i = self.labels.index(pair[0])
-        j = self.labels.index(pair[1])
+        try:
+            i, j = self._index[pair[0]], self._index[pair[1]]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a label of this matrix") from None
         return float(self.values[i, j])
 
     def to_csv(self, stream: TextIO) -> None:
@@ -312,7 +336,10 @@ def threshold_graph(matrix: DistanceMatrix, threshold: float) -> UnipartiteGraph
     """Graph on the matrix labels with an edge wherever d(u, v) < threshold."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    n = len(matrix.labels)
-    ii, jj = np.nonzero(np.triu(matrix.values < threshold, k=1))
-    edges = [(matrix.labels[i], matrix.labels[j]) for i, j in zip(ii, jj)]
-    return UnipartiteGraph(matrix.labels, edges)
+    labels = matrix.labels
+    edges = [
+        (labels[i], labels[j])
+        for i, row in enumerate(matrix.values)
+        for j in i + 1 + np.flatnonzero(row[i + 1 :] < threshold)
+    ]
+    return UnipartiteGraph(labels, edges)

@@ -16,6 +16,13 @@ def fig1_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def weighted_file(tmp_path):
+    path = tmp_path / "weighted.txt"
+    path.write_text("a x 5\na y 1\nb x 1\nb z 1\nc x 1\n")
+    return str(path)
+
+
 def run_ok(capsys, argv):
     assert run(argv) == 0
     return capsys.readouterr().out
@@ -80,6 +87,10 @@ class TestScores:
         )
         assert "z,0.000000" in out
 
+    def test_weighted_reaches_hellrank(self, capsys, weighted_file):
+        out = run_ok(capsys, ["scores", "--input", weighted_file, "--weighted"])
+        assert out == "label,score\na,5.437291\nb,3.760506\nc,3.586919\n"
+
 
 class TestDistances:
     def test_fig1_matrix(self, capsys, fig1_file):
@@ -93,6 +104,11 @@ class TestDistances:
     def test_raw_mode(self, capsys, fig1_file):
         out = run_ok(capsys, ["distances", "--input", fig1_file, "--mode", "raw"])
         assert float(out.splitlines()[1].split(",")[2]) == pytest.approx(1.082392, abs=1e-6)
+
+    def test_weighted(self, capsys, weighted_file):
+        out = run_ok(capsys, ["distances", "--input", weighted_file, "--weighted"])
+        # unweighted, a and b share the vector {1: 1, 3: 1} and sit at distance 0
+        assert out.splitlines()[1] == "a,0.000000,0.256569,0.295176"
 
 
 class TestCorrelate:
@@ -131,6 +147,12 @@ class TestThresholdGraph:
             ["threshold-graph", "--input", fig1_file, "--threshold", "0.43", "--format", "csv"],
         )
         assert out == "source,target\nA,B\nB,C\n"
+
+    def test_weighted(self, capsys, weighted_file):
+        argv = ["threshold-graph", "--input", weighted_file, "--weighted", "--format", "csv"]
+        # unweighted, d(a, b) = 0 would put a -- b below any positive threshold
+        assert run_ok(capsys, argv + ["--threshold", "0.25"]) == "source,target\n"
+        assert run_ok(capsys, argv + ["--threshold", "0.26"]) == "source,target\na,b\n"
 
 
 class TestNullModel:

@@ -6,6 +6,7 @@ import pytest
 
 from hellrank import (
     BipartiteGraph,
+    DistanceMatrix,
     DistanceMode,
     Side,
     distance_bounds,
@@ -16,11 +17,31 @@ from hellrank import (
     threshold_graph,
     weighted_node_distance,
 )
+from hellrank.graph import UnipartiteGraph
 from hellrank.hellinger import DegenerateDistancesWarning
 
 from oracles import brute_distance, brute_hellrank, random_bipartite
 
 MODES = [DistanceMode.NORMALIZED, DistanceMode.RAW]
+
+
+def class_graph(n_classes: int, copies: int) -> BipartiteGraph:
+    """Left nodes in n_classes groups of `copies` nodes; the nodes of a group
+    share one neighbor-degree vector and the groups' vectors all differ."""
+    edges = []
+    for c in range(n_classes):
+        for r in range(copies):
+            x = f"c{c}r{r}"
+            edges += [(x, f"{x}p{t}") for t in range(1 + c % 4)]
+            edges += [(x, f"h{t}") for t in range(c // 4 + 1)]
+    return BipartiteGraph(edges)
+
+
+def assert_matches_oracle(g: BipartiteGraph, mode: DistanceMode) -> None:
+    got = hellrank(g, Side.LEFT, mode)
+    want = brute_hellrank(g, Side.LEFT, mode is DistanceMode.NORMALIZED)
+    for x in g.left_nodes:
+        assert got[x] == pytest.approx(want[x], abs=1e-9)
 
 
 class TestHellingerDistance:
@@ -134,6 +155,23 @@ class TestDistanceMatrix:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_threads_do_not_change_bytes_with_duplicates(self):
+        g = class_graph(40, 5)  # 200 nodes, 40 distinct vectors: three blocks of 16
+        outs = []
+        for threads in (1, 4):
+            buf = io.StringIO()
+            distance_matrix(g, Side.LEFT, threads=threads, block=16).to_csv(buf)
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1]
+
+    def test_unknown_label(self, fig1):
+        m = distance_matrix(fig1, Side.LEFT)
+        assert m["A", "D"] == 1.0
+        with pytest.raises(ValueError, match="'Z'"):
+            m["A", "Z"]
+        with pytest.raises(ValueError, match="'Z'"):
+            m["Z", "A"]
+
     def test_csv_shape(self, fig1):
         buf = io.StringIO()
         distance_matrix(fig1, Side.LEFT).to_csv(buf)
@@ -179,6 +217,67 @@ class TestHellRank:
         b = hellrank(g, Side.LEFT, threads=4, block=16)
         assert a.scores == b.scores
 
+    def test_threads_deterministic_with_duplicates(self):
+        g = class_graph(40, 5)
+        for mode in MODES:
+            a = hellrank(g, Side.LEFT, mode, threads=1, block=16)
+            b = hellrank(g, Side.LEFT, mode, threads=4, block=16)
+            assert a.scores == b.scores
+
+
+class TestAdversarialKernel:
+    """Inputs that stress the collapse to distinct vectors and the
+    cancellation fix-up, against the brute-force oracle."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_many_exact_duplicates(self, mode):
+        g = class_graph(8, 5)
+        assert_matches_oracle(g, mode)
+        m = distance_matrix(g, Side.LEFT, mode, block=3)
+        assert m["c2r0", "c2r4"] == 0.0
+        assert m["c2r0", "c3r0"] > 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_proportional_vectors(self, mode):
+        # a, b, c have vectors {1: k, 2: k} for k = 1, 2, 3; e has {1: 3}
+        edges = [("a", "q1"), ("c", "q1"), ("b", "q2"), ("c", "q2"), ("b", "q3"), ("c", "q3")]
+        for x, k in (("a", 1), ("b", 2), ("c", 3), ("e", 3)):
+            edges += [(x, f"{x}p{t}") for t in range(k)]
+        g = BipartiteGraph(edges)
+        assert_matches_oracle(g, mode)
+        m = distance_matrix(g, Side.LEFT, mode)
+        if mode is DistanceMode.NORMALIZED:
+            assert m["a", "b"] == m["a", "c"] == m["b", "c"] == 0.0
+            hr = hellrank(g, Side.LEFT, mode)
+            assert hr["a"] == hr["b"] == hr["c"]
+        else:
+            assert min(m["a", "b"], m["a", "c"], m["b", "c"]) > 0.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_isolated_nodes(self, mode):
+        edges = [("a", "1"), ("b", "1"), ("b", "2"), ("c", "2"), ("c", "3"), ("d", "3")]
+        g = BipartiteGraph(edges, isolated_left=["z1", "z2", "z3"])
+        assert_matches_oracle(g, mode)
+        m = distance_matrix(g, Side.LEFT, mode)
+        assert m["z1", "z3"] == 0.0
+        want = brute_distance(g, "z1", "a", Side.LEFT, mode is DistanceMode.NORMALIZED)
+        assert m["z1", "a"] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_near_duplicate_pair(self, mode):
+        # vectors {1: 3000, 2: 1} and {1: 3001, 2: 1}: in normalized mode the
+        # gram form of their squared distance (~5e-12) falls under the
+        # cancellation threshold, so it is recomputed by subtraction
+        edges = [("a", "s"), ("b", "s"), ("c", "t")]
+        edges += [("a", f"a{t}") for t in range(3000)]
+        edges += [("b", f"b{t}") for t in range(3001)]
+        g = BipartiteGraph(edges)
+        normalized = mode is DistanceMode.NORMALIZED
+        d = distance_matrix(g, Side.LEFT, mode)["a", "b"]
+        assert d > 0.0
+        assert d == pytest.approx(brute_distance(g, "a", "b", Side.LEFT, normalized), rel=1e-9)
+        assert_matches_oracle(g, mode)
+
 
 class TestThresholdGraph:
     def test_edges_strictly_below(self, fig1):
@@ -191,3 +290,15 @@ class TestThresholdGraph:
     def test_validation(self, fig1):
         with pytest.raises(ValueError, match=">= 0"):
             threshold_graph(distance_matrix(fig1, Side.LEFT), -0.1)
+
+    def test_matches_dense_formula_with_ties(self, rng):
+        n = 60
+        values = rng.integers(0, 10, size=(n, n)) / 10  # many entries equal each threshold
+        labels = [f"n{i}" for i in range(n)]
+        m = DistanceMatrix(Side.LEFT, labels, values, DistanceMode.NORMALIZED)
+        for threshold in (0.0, 0.3, 0.5, 0.9, 1.0):
+            ii, jj = np.nonzero(np.triu(values < threshold, k=1))
+            want = UnipartiteGraph(labels, [(labels[i], labels[j]) for i, j in zip(ii, jj)])
+            got = threshold_graph(m, threshold)
+            assert got == want
+            assert got.num_edges == len(ii)
