@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 from . import baselines, rankeval
 from .datasets import builtin_names, load_builtin
-from .graph import BipartiteGraph, Side, load_edge_list, load_node_list, project
+from .graph import BipartiteGraph, Side, csv_field, load_edge_list, load_node_list, project
 from .hellinger import DistanceMode, distance_matrix, hellrank, threshold_graph
 from .nullmodel import NullModelParams, expected_distance_moments, monte_carlo_distance, similarity_threshold
 from .scores import CentralityScores, normalize_scores
@@ -69,7 +69,8 @@ def _load_graph(args) -> BipartiteGraph:
     isolated_right: list[str] = []
     if getattr(args, "node_list", None):
         with open(args.node_list, encoding="utf-8") as fh:
-            isolated_left, isolated_right = load_node_list(fh)
+            # edge lines below split on any whitespace
+            isolated_left, isolated_right = load_node_list(fh, delimiter=None)
     with open(args.input, encoding="utf-8") as fh:
         return load_edge_list(
             fh,
@@ -192,7 +193,7 @@ def _scores_command(args, out) -> None:
     else:
         out.write("label," + ",".join(names) + "\n")
         for x in labels:
-            out.write(x + "," + ",".join(f"{tables[n][x]:.6f}" for n in names) + "\n")
+            out.write(csv_field(x) + "," + ",".join(f"{tables[n][x]:.6f}" for n in names) + "\n")
 
 
 def _pair_tables(args, graph):
@@ -204,7 +205,13 @@ def _pair_tables(args, graph):
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "dataset", None):
+        if args.weighted:
+            parser.error("--weighted needs --input: --dataset graphs have no link weights")
+        if args.node_list:
+            parser.error("--node-list needs --input: --dataset graphs have a fixed node set")
     try:
         with _output(args) as out:
             if args.command == "scores":

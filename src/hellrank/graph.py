@@ -192,6 +192,23 @@ class BipartiteGraph:
         )
 
 
+def csv_field(text: str, delimiter: str = ",") -> str:
+    """``text`` as one CSV field, quoted as csv.QUOTE_MINIMAL would quote it.
+
+    Quotes (doubling inner quotes) only when the text holds the delimiter, a
+    quote or a line break, so ordinary labels are written unchanged.
+    """
+    if delimiter in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def dot_id(text: str) -> str:
+    """``text`` as a quoted DOT ID: backslashes and quotes are escaped, so a
+    quote or a trailing backslash cannot end the string early."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 class UnipartiteGraph:
     """Simple undirected graph (projection target and threshold graph)."""
 
@@ -230,14 +247,14 @@ class UnipartiteGraph:
 
     def to_edge_list(self, stream: TextIO, delimiter: str = "\t") -> None:
         for u, v in self.edges():
-            stream.write(f"{u}{delimiter}{v}\n")
+            stream.write(f"{csv_field(u, delimiter)}{delimiter}{csv_field(v, delimiter)}\n")
 
     def to_dot(self, stream: TextIO, name: str = "G") -> None:
         stream.write(f"graph {name} {{\n")
         for n in self._nodes:
-            stream.write(f'  "{n}";\n')
+            stream.write(f"  {dot_id(n)};\n")
         for u, v in self.edges():
-            stream.write(f'  "{u}" -- "{v}";\n')
+            stream.write(f"  {dot_id(u)} -- {dot_id(v)};\n")
         stream.write("}\n")
 
     def __eq__(self, other) -> bool:
@@ -291,11 +308,16 @@ def load_edge_list(
     )
 
 
-def load_node_list(lines: Iterable[str]) -> tuple[list[str], list[str]]:
+def load_node_list(
+    lines: Iterable[str], delimiter: str | None = "\n"
+) -> tuple[list[str], list[str]]:
     """Parse a sidecar node list declaring (possibly isolated) nodes.
 
     Each data line is ``left <label>`` or ``right <label>``; comment lines
-    start with ``%`` or ``#``.
+    start with ``%`` or ``#``.  ``delimiter`` is that of the edge list the
+    labels are to match: a label containing it (any whitespace for None, as in
+    ``load_edge_list``) could never match and is rejected with its line number.
+    The default accepts the rest of the line as the label.
     """
     left: list[str] = []
     right: list[str] = []
@@ -308,7 +330,15 @@ def load_node_list(lines: Iterable[str]) -> tuple[list[str], list[str]]:
             raise EdgeListParseError(
                 lineno, f"expected 'left <label>' or 'right <label>', got {line!r}"
             )
-        (left if fields[0] == "left" else right).append(fields[1])
+        label = fields[1]
+        if label.split(delimiter) != [label]:
+            raise EdgeListParseError(
+                lineno,
+                f"node label {label!r} contains "
+                f"{'whitespace' if delimiter is None else repr(delimiter)} "
+                "and can never match an edge-list label",
+            )
+        (left if fields[0] == "left" else right).append(label)
     return left, right
 
 

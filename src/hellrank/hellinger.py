@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import BipartiteGraph, Side, UnipartiteGraph
+from .graph import BipartiteGraph, Side, UnipartiteGraph, csv_field
 from .graph import neighbor_degree_vector, weighted_neighbor_degree_vector
 from .scores import CentralityScores, normalize_scores
 
@@ -259,7 +259,11 @@ def distance_matrix(
         # blocks own disjoint rows of values, so threads never write the same row
         d = _block_distances(U, mu, lo, hi, coef)
         rows = np.flatnonzero((inverse >= lo) & (inverse < hi))
-        values[rows] = d[inverse[rows] - lo][:, inverse]
+        # many node rows can share a unique row: gather them in chunks of
+        # `block` rows, so the temporary stays at block x n
+        for start in range(0, len(rows), block):
+            chunk = rows[start : start + block]
+            values[chunk] = d[np.ix_(inverse[chunk] - lo, inverse)]
 
     _run_blocks(fill, _blocks(len(counts), block), threads)
     return DistanceMatrix(side=side, labels=labels, values=values, mode=mode)
@@ -327,9 +331,9 @@ class DistanceMatrix:
         return float(self.values[i, j])
 
     def to_csv(self, stream: TextIO) -> None:
-        stream.write("," + ",".join(self.labels) + "\n")
+        stream.write("," + ",".join(map(csv_field, self.labels)) + "\n")
         for label, row in zip(self.labels, self.values):
-            stream.write(label + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
+            stream.write(csv_field(label) + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
 
 
 def threshold_graph(matrix: DistanceMatrix, threshold: float) -> UnipartiteGraph:

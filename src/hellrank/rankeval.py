@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -34,6 +35,8 @@ class RankVector:
 
 
 def _aligned(a: RankVector, b: RankVector) -> tuple[np.ndarray, np.ndarray]:
+    if a.labels == b.labels:
+        return a.values, b.values
     if set(a.labels) != set(b.labels):
         raise ValueError("rank vectors cover different label sets")
     order = {x: i for i, x in enumerate(a.labels)}
@@ -43,39 +46,71 @@ def _aligned(a: RankVector, b: RankVector) -> tuple[np.ndarray, np.ndarray]:
     return a.values, bv
 
 
+def _strict_inversions(v: np.ndarray, m: int) -> int:
+    """Pairs i < j with v[i] > v[j], for integer codes 0 <= v < m.
+
+    Bottom-up merge sort.  At width w every block of 2w positions holds two
+    sorted halves.  Offsetting each value by block * m makes all left halves
+    together one sorted array, so one searchsorted counts, for each element of
+    a right half, the elements of its block's left half that exceed it.
+    """
+    n = len(v)
+    pos = np.arange(n)
+    total = 0
+    w = 1
+    while w < n:
+        block = pos // (2 * w)
+        keys = block * m + v
+        right = pos % (2 * w) >= w
+        # a block with a right half has a full left half, which ends at index
+        # (block + 1) * w of the concatenated left halves
+        ends = (block[right] + 1) * w
+        total += int((ends - np.searchsorted(keys[~right], keys[right], side="right")).sum())
+        v = np.sort(keys, kind="stable") - block * m
+        w *= 2
+    return total
+
+
+def _pair_counts(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int, int, int]:
+    """Exact pair counts (P, T_x, T_y, T_xy, n_d) of two equal-length vectors.
+
+    P is the number of pairs; T_x, T_y and T_xy count the pairs tied in x, in
+    y and in both; n_d counts the discordant pairs.  Sorted by (x, y), the
+    discordant pairs are exactly the strict inversions of y (Knight 1966,
+    JASA 61:436).
+    """
+    _, xi, cx = np.unique(x, return_inverse=True, return_counts=True)
+    uy, yi, cy = np.unique(y, return_inverse=True, return_counts=True)
+    joint = xi * len(uy) + yi
+    cxy = np.unique(joint, return_counts=True)[1]
+    tied = [int((c * (c - 1) // 2).sum()) for c in (cx, cy, cxy)]
+    n = len(x)
+    return (n * (n - 1) // 2, *tied, _strict_inversions(np.sort(joint) % len(uy), len(uy)))
+
+
 def kendall_tau(a: RankVector, b: RankVector, variant: str = "a") -> float:
     """Pair-agreement correlation.
 
     variant "a": (concordant - discordant) / (n(n-1)/2); tied pairs count as
-    neither.  variant "b" rescales by the tie-corrected pair counts.
+    neither.  variant "b" rescales by the tie-corrected pair counts.  Both
+    come from exact integer pair counts in O(n log^2 n) time and O(n) memory.
     """
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     x, y = _aligned(a, b)
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise ValueError("need at least 2 labels")
-    concordant = discordant = ties_x = ties_y = 0
-    block = 2048
-    for lo in range(0, n, block):
-        dx = np.sign(x[lo : lo + block, None] - x[None, :])
-        dy = np.sign(y[lo : lo + block, None] - y[None, :])
-        prod = dx * dy
-        # restrict to i < j
-        cols = np.arange(n)[None, :]
-        rows = np.arange(lo, min(lo + block, n))[:, None]
-        upper = cols > rows
-        concordant += int(np.count_nonzero((prod > 0) & upper))
-        discordant += int(np.count_nonzero((prod < 0) & upper))
-        ties_x += int(np.count_nonzero((dx == 0) & upper))
-        ties_y += int(np.count_nonzero((dy == 0) & upper))
-    pairs = n * (n - 1) // 2
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("rank vectors must be finite")
+    pairs, ties_x, ties_y, ties_xy, discordant = _pair_counts(x, y)
+    # concordant - discordant: the pairs untied in both, minus twice the discordant
+    diff = pairs - ties_x - ties_y + ties_xy - 2 * discordant
     if variant == "a":
-        return (concordant - discordant) / pairs
-    denom = np.sqrt((pairs - ties_x) * (pairs - ties_y))
+        return diff / pairs
+    denom = math.sqrt((pairs - ties_x) * (pairs - ties_y))
     if denom == 0:
         raise ValueError("tau-b undefined: one vector is constant")
-    return float((concordant - discordant) / denom)
+    return diff / denom
 
 
 def spearman_rho(a: RankVector, b: RankVector) -> float:
@@ -108,10 +143,17 @@ def sweep_k(
         raise ValueError("score tables cover different label sets")
     if not 1 <= k_max <= n - 1:
         raise ValueError(f"k_max must be in 1..{n - 1}, got {k_max}")
+    # rank each table once: positions in sorted-label order, best score first,
+    # ties in label order, as top_k_vector does
+    labels = tuple(sorted(a.scores))
+    orders = [np.argsort([-t[x] for x in labels], kind="stable") for t in (a, b)]
+    top_a, top_b = np.zeros(n), np.zeros(n)
     out: list[tuple[int, float | None]] = []
     for k in range(1, k_max + 1):
+        top_a[orders[0][k - 1]] = 1.0
+        top_b[orders[1][k - 1]] = 1.0
         try:
-            out.append((k, spearman_rho(top_k_vector(a, k), top_k_vector(b, k))))
+            out.append((k, spearman_rho(RankVector(labels, top_a), RankVector(labels, top_b))))
         except ValueError:
             out.append((k, None))
     return out

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import TextIO
 
-from .graph import Side
+from .graph import Side, csv_field
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class CentralityScores:
     def to_csv(self, stream: TextIO) -> None:
         stream.write("label,score\n")
         for label, value in self.ranked():
-            stream.write(f"{label},{value:.6f}\n")
+            stream.write(f"{csv_field(label)},{value:.6f}\n")
 
     def to_json(self, stream: TextIO) -> None:
         json.dump(dict(self.ranked()), stream, indent=2)

@@ -92,6 +92,26 @@ def brute_kendall_tau_a(x, y) -> float:
     return (concordant - discordant) / (n * (n - 1) / 2)
 
 
+def blocked_kendall_counts(x, y, block: int = 2048) -> tuple[int, int, int, int]:
+    """(concordant, discordant, ties_x, ties_y) pair counts from the signs of
+    every pair's differences, compared block by block in O(n^2)."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    n = len(x)
+    concordant = discordant = ties_x = ties_y = 0
+    for lo in range(0, n, block):
+        dx = np.sign(x[lo : lo + block, None] - x[None, :])
+        dy = np.sign(y[lo : lo + block, None] - y[None, :])
+        prod = dx * dy
+        # restrict to i < j
+        upper = np.arange(n)[None, :] > np.arange(lo, min(lo + block, n))[:, None]
+        concordant += int(np.count_nonzero((prod > 0) & upper))
+        discordant += int(np.count_nonzero((prod < 0) & upper))
+        ties_x += int(np.count_nonzero((dx == 0) & upper))
+        ties_y += int(np.count_nonzero((dy == 0) & upper))
+    return concordant, discordant, ties_x, ties_y
+
+
 def poisson_hellinger_sq_series(
     k1: float, lam1: float, k2: float, lam2: float, terms: int = 2000
 ) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -66,6 +68,15 @@ class TestScores:
         dest = tmp_path / "scores.csv"
         assert run(["scores", "--input", fig1_file, "--output", str(dest)]) == 0
         assert dest.read_text().startswith("label,score\n")
+
+    def test_csv_quotes_labels(self, capsys, tmp_path):
+        path = tmp_path / "odd.tsv"
+        path.write_text('x,1 p\nsay"hi" p\nb q\nb p\n')
+        for extra in ([], ["--metric", "all"]):
+            out = run_ok(capsys, ["scores", "--input", str(path)] + extra)
+            rows = list(csv.reader(io.StringIO(out)))
+            assert sorted(r[0] for r in rows[1:]) == ["b", 'say"hi"', "x,1"]
+            assert {len(r) for r in rows} == {len(rows[0])}
 
     def test_weighted_and_node_list(self, capsys, tmp_path):
         edges = tmp_path / "edges.tsv"
@@ -198,6 +209,23 @@ class TestErrorsAndDeterminism:
         with pytest.raises(SystemExit) as err:
             run(["scores", "--input", fig1_file, "--metric", "nope"])
         assert err.value.code == 2
+
+    def test_dataset_rejects_input_only_flags(self, capsys, tmp_path):
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("left z\n")
+        for flag, extra in (("--weighted", []), ("--node-list", [str(nodes)])):
+            with pytest.raises(SystemExit) as err:
+                run(["scores", "--dataset", "davis", flag] + extra)
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert flag in message and "--dataset" in message
+
+    def test_node_list_label_with_whitespace(self, capsys, tmp_path, fig1_file):
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("left z\nright item 7\n")
+        assert run(["scores", "--input", fig1_file, "--node-list", str(nodes)]) == 1
+        message = capsys.readouterr().err
+        assert "line 2" in message and "'item 7'" in message
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as err:

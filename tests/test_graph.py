@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -64,6 +65,15 @@ def test_load_node_list():
     assert right == ["item 7"]
     with pytest.raises(EdgeListParseError):
         load_node_list(["middle x"])
+
+
+def test_node_list_label_with_delimiter_rejected():
+    assert load_node_list(["left a\tb"], delimiter=" ") == (["a\tb"], [])
+    with pytest.raises(EdgeListParseError, match="whitespace") as err:
+        load_node_list(["left alice", "# hdr", "right item 7"], delimiter=None)
+    assert err.value.lineno == 3
+    with pytest.raises(EdgeListParseError, match="line 1"):
+        load_node_list(["left a\tb"], delimiter="\t")
 
 
 class TestBipartiteGraph:
@@ -163,3 +173,19 @@ class TestUnipartiteGraph:
         g.to_dot(buf)
         text = buf.getvalue()
         assert text.startswith("graph G {") and '"a" -- "b";' in text and '"c";' in text
+
+    def test_edge_list_quotes_labels(self):
+        g = UnipartiteGraph(["x,1", 'q"', "c"], [("x,1", 'q"'), ("x,1", "c")])
+        buf = io.StringIO()
+        g.to_edge_list(buf, delimiter=",")
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert sorted(map(tuple, rows)) == sorted(g.edges())
+
+    def test_dot_escapes_labels(self):
+        g = UnipartiteGraph(['say "hi"', "tail\\"], [('say "hi"', "tail\\")])
+        buf = io.StringIO()
+        g.to_dot(buf)
+        assert buf.getvalue() == (
+            'graph G {\n  "say \\"hi\\"";\n  "tail\\\\";\n'
+            '  "say \\"hi\\"" -- "tail\\\\";\n}\n'
+        )

@@ -1,5 +1,7 @@
+import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +165,28 @@ class TestDistanceMatrix:
             distance_matrix(g, Side.LEFT, threads=threads, block=16).to_csv(buf)
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
+
+    def test_expansion_temporary_is_bounded(self):
+        g = class_graph(20, 100)  # 2000 nodes; 16 of the 20 vectors cover 1600 of them
+        block = 16
+        tracemalloc.start()
+        try:
+            m = distance_matrix(g, Side.LEFT, block=block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(m.labels)
+        assert peak <= m.values.nbytes + 4 * block * n * 8
+        assert np.array_equal(m.values, distance_matrix(g, Side.LEFT).values)
+
+    def test_csv_quotes_labels(self):
+        g = BipartiteGraph([("x,1", "p"), ('say "hi"', "p"), ("plain", "q")])
+        buf = io.StringIO()
+        distance_matrix(g, Side.LEFT).to_csv(buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert rows[0] == ["", "x,1", 'say "hi"', "plain"]
+        assert [r[0] for r in rows[1:]] == ["x,1", 'say "hi"', "plain"]
+        assert all(len(r) == 4 for r in rows)
 
     def test_unknown_label(self, fig1):
         m = distance_matrix(fig1, Side.LEFT)

@@ -1,6 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
+
+import hellrank
 
 from hellrank import (
     RankVector,
@@ -10,10 +18,10 @@ from hellrank import (
     sweep_k,
     top_k_vector,
 )
-from hellrank.rankeval import sweep_to_csv
+from hellrank.rankeval import _pair_counts, sweep_to_csv
 from hellrank.scores import CentralityScores
 
-from oracles import brute_kendall_tau_a
+from oracles import blocked_kendall_counts, brute_kendall_tau_a
 
 
 def rv(values, labels=None):
@@ -46,6 +54,46 @@ class TestKendallTau:
                 got = kendall_tau(rv(x), rv(y))
                 assert got == pytest.approx(brute_kendall_tau_a(x, y), abs=1e-12)
 
+    @pytest.mark.parametrize("levels", [(7, 4), (3000, 50)])
+    def test_matches_blocked_counter(self, rng, levels):
+        n = 3001
+        x = rng.integers(0, levels[0], size=n).astype(float)
+        y = rng.integers(0, levels[1], size=n).astype(float)
+        c, d, tx, ty = blocked_kendall_counts(x, y)
+        pairs, ties_x, ties_y, ties_xy, discordant = _pair_counts(x, y)
+        assert (pairs, ties_x, ties_y, discordant) == (n * (n - 1) // 2, tx, ty, d)
+        assert pairs - ties_x - ties_y + ties_xy == c + d
+        assert kendall_tau(rv(x), rv(y)) == (c - d) / pairs
+        tau_b = (c - d) / math.sqrt((pairs - tx) * (pairs - ty))
+        assert kendall_tau(rv(x), rv(y), variant="b") == tau_b
+
+    def test_constant_vector(self):
+        flat, ramp = rv([2, 2, 2, 2]), rv([1, 3, 2, 4])
+        assert kendall_tau(flat, ramp) == 0.0
+        assert kendall_tau(ramp, flat) == 0.0
+        with pytest.raises(ValueError, match="constant"):
+            kendall_tau(flat, ramp, variant="b")
+
+    def test_ints_floats_and_signed_zeros_count_alike(self, rng):
+        x = rng.integers(-3, 4, size=300)
+        y = rng.integers(-3, 4, size=300)
+        want = _pair_counts(x.astype(float), y.astype(float))
+        assert _pair_counts(x, y) == want
+        assert _pair_counts(x, y.astype(float)) == want
+        signed = x.astype(float)
+        signed[np.flatnonzero(signed == 0)[::2]] = -0.0
+        assert _pair_counts(signed, y) == want
+        labels = tuple(f"n{i}" for i in range(300))
+        assert kendall_tau(RankVector(labels, x), RankVector(labels, y)) == kendall_tau(
+            rv(signed), rv(y)
+        )
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(rv([1, np.nan, 3]), rv([1, 2, 3]))
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau(rv([1, 2, 3]), rv([1, np.inf, 3]), variant="b")
+
     def test_tau_b_matches_scipy(self, rng):
         for _ in range(10):
             x = rng.integers(0, 4, size=50).astype(float)
@@ -53,6 +101,14 @@ class TestKendallTau:
             got = kendall_tau(rv(x), rv(y), variant="b")
             ref = scipy.stats.kendalltau(x, y).statistic
             assert got == pytest.approx(ref, abs=1e-12)
+
+    def test_tau_b_large_n(self, rng):
+        # (P - T_x)(P - T_y) exceeds 2**64 here, beyond any numpy integer
+        n = 100_000
+        x = rng.integers(0, 1000, size=n).astype(float)
+        y = x + rng.integers(0, 50, size=n)
+        got = kendall_tau(rv(x), rv(y), variant="b")
+        assert got == pytest.approx(scipy.stats.kendalltau(x, y).statistic, abs=1e-12)
 
     def test_invariant_under_monotone_transform(self, rng):
         x = rng.random(40)
@@ -133,9 +189,34 @@ class TestSweepK:
         with pytest.raises(ValueError, match="different label sets"):
             sweep_k(a, b, 1)
 
+    def test_matches_per_k_construction_with_ties(self, rng):
+        # few distinct scores, so most cutoffs fall inside a tie; -0.0 ties 0.0
+        a = scores(rng.integers(-1, 2, size=80) * np.where(rng.random(80) < 0.5, -1.0, 1.0))
+        b = scores(rng.integers(0, 4, size=80))
+
+        def per_k(k):
+            try:
+                return spearman_rho(top_k_vector(a, k), top_k_vector(b, k))
+            except ValueError:
+                return None
+
+        assert sweep_k(a, b, 79) == [(k, per_k(k)) for k in range(1, 80)]
+
     def test_csv_with_missing_points(self):
         import io
 
         buf = io.StringIO()
         sweep_to_csv([(1, 0.5), (2, None)], buf)
         assert buf.getvalue() == "k,rho\n1,0.500000\n2,\n"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a second to import, paid by every CLI run
+    src = Path(hellrank.__file__).resolve().parents[1]
+    code = "import sys, hellrank.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
