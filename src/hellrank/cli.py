@@ -207,6 +207,8 @@ def _pair_tables(args, graph):
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     if getattr(args, "dataset", None):
         if args.weighted:
             parser.error("--weighted needs --input: --dataset graphs have no link weights")

@@ -343,30 +343,30 @@ def load_node_list(
 
 
 def neighbor_degree_vector(
-    graph: BipartiteGraph, node: str, side: Side | None = None
+    graph: BipartiteGraph, node: str, side: Side | None = None, weighted: bool = False
 ) -> NeighborDegreeVector:
-    """Count the node's neighbors by their degree (sparse histogram)."""
+    """Count the node's neighbors by their degree (sparse histogram).
+
+    With ``weighted`` each neighbor contributes its link weight instead of 1.
+    """
+    if weighted and not graph.is_weighted:
+        raise ValueError("graph has no link weights")
     side = graph._resolve_side(node, side)
     entries: dict[int, float] = {}
     for nb in graph.neighbors(node, side):
         d = graph.degree(nb, side.other)
-        entries[d] = entries.get(d, 0.0) + 1.0
+        w = 1.0
+        if weighted:
+            w = graph.link_weight(node, nb) if side is Side.LEFT else graph.link_weight(nb, node)
+        entries[d] = entries.get(d, 0.0) + w
     return NeighborDegreeVector(entries)
 
 
 def weighted_neighbor_degree_vector(
     graph: BipartiteGraph, node: str, side: Side | None = None
 ) -> NeighborDegreeVector:
-    """Like neighbor_degree_vector but each neighbor contributes its link weight."""
-    if not graph.is_weighted:
-        raise ValueError("graph has no link weights")
-    side = graph._resolve_side(node, side)
-    entries: dict[int, float] = {}
-    for nb in graph.neighbors(node, side):
-        d = graph.degree(nb, side.other)
-        w = graph.link_weight(node, nb) if side is Side.LEFT else graph.link_weight(nb, node)
-        entries[d] = entries.get(d, 0.0) + w
-    return NeighborDegreeVector(entries)
+    """neighbor_degree_vector with each neighbor contributing its link weight."""
+    return neighbor_degree_vector(graph, node, side, weighted=True)
 
 
 def project(graph: BipartiteGraph, side: Side) -> UnipartiteGraph:

@@ -25,8 +25,7 @@ from typing import Iterable, Mapping, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import BipartiteGraph, Side, UnipartiteGraph, csv_field
-from .graph import neighbor_degree_vector, weighted_neighbor_degree_vector
+from .graph import BipartiteGraph, Side, UnipartiteGraph, csv_field, neighbor_degree_vector
 from .scores import CentralityScores, normalize_scores
 
 __all__ = [
@@ -76,23 +75,6 @@ def hellinger_distance(p, q) -> float:
     return float(np.linalg.norm(np.sqrt(pv) - np.sqrt(qv)) / math.sqrt(2))
 
 
-def _node_vector(graph: BipartiteGraph, node: str, side: Side, weighted: bool):
-    fn = weighted_neighbor_degree_vector if weighted else neighbor_degree_vector
-    return fn(graph, node, side)
-
-
-def _pair_distance(vx, vy, mode: DistanceMode) -> float:
-    ex, ey = dict(vx.entries), dict(vy.entries)
-    if mode is DistanceMode.NORMALIZED:
-        sx, sy = sum(ex.values()), sum(ey.values())
-        if sx > 0:
-            ex = {k: v / sx for k, v in ex.items()}
-        if sy > 0:
-            ey = {k: v / sy for k, v in ey.items()}
-        return hellinger_distance(ex, ey)
-    return math.sqrt(2) * hellinger_distance(ex, ey)
-
-
 def _same_side(graph: BipartiteGraph, x: str, y: str, side: Side | None) -> Side:
     sx = graph._resolve_side(x, side)
     sy = graph._resolve_side(y, side)
@@ -107,12 +89,16 @@ def node_distance(
     y: str,
     mode: DistanceMode = DistanceMode.NORMALIZED,
     side: Side | None = None,
+    weighted: bool = False,
 ) -> float:
-    """Hellinger distance between two nodes of the same side."""
+    """Hellinger distance between two nodes of the same side.
+
+    The pair is scored by the all-pairs kernel's direct-subtraction step, so
+    it stays exact for near-duplicate vectors.
+    """
     side = _same_side(graph, x, y, side)
-    return _pair_distance(
-        _node_vector(graph, x, side, False), _node_vector(graph, y, side, False), mode
-    )
+    S, _, coef = _sqrt_mass_matrix(_node_counts(graph, [x, y], side, weighted), mode)
+    return math.sqrt(_sq_diff(S, [0], [1], coef)[0])
 
 
 def weighted_node_distance(
@@ -123,12 +109,7 @@ def weighted_node_distance(
     side: Side | None = None,
 ) -> float:
     """node_distance on the weight-summed neighbor-degree vectors."""
-    if not graph.is_weighted:
-        raise ValueError("graph has no link weights")
-    side = _same_side(graph, x, y, side)
-    return _pair_distance(
-        _node_vector(graph, x, side, True), _node_vector(graph, y, side, True), mode
-    )
+    return node_distance(graph, x, y, mode, side, weighted=True)
 
 
 def distance_bounds(k1: int, k2: int) -> tuple[float, float]:
@@ -139,43 +120,46 @@ def distance_bounds(k1: int, k2: int) -> tuple[float, float]:
     return math.sqrt(hi) - math.sqrt(lo), math.sqrt(hi + lo)
 
 
-# -- vectorized all-pairs machinery -----------------------------------------
+# -- the distance kernel, for single pairs and all pairs --------------------
+
+
+def _node_counts(
+    graph: BipartiteGraph, labels: list[str], side: Side, weighted: bool
+) -> sp.csr_matrix:
+    """Neighbor-degree counts (or weight sums), one row per label and one
+    column per distinct neighbor degree, from one neighbor_degree_vector call
+    per node."""
+    entries = [neighbor_degree_vector(graph, x, side, weighted=weighted).entries for x in labels]
+    rows = np.repeat(np.arange(len(labels)), [len(e) for e in entries])
+    degrees = np.array([d for e in entries for d in e], dtype=np.int64)
+    weights = np.array([w for e in entries for w in e.values()], dtype=float)
+    return _count_matrix(rows, degrees, weights, len(labels))
+
+
+def _count_matrix(
+    rows: np.ndarray, degrees: np.ndarray, weights: np.ndarray, n: int
+) -> sp.csr_matrix:
+    """n-row CSR matrix summing ``weights`` at (row, column of degree), with
+    one column per distinct degree in ascending order."""
+    values, cols = np.unique(degrees, return_inverse=True)
+    return sp.csr_matrix((weights, (rows, cols)), shape=(n, max(len(values), 1)))
 
 
 def _sqrt_mass_matrix(
-    graph: BipartiteGraph, side: Side, mode: DistanceMode, weighted: bool
-) -> tuple[list[str], sp.csr_matrix, np.ndarray]:
-    """Rows of sqrt(mass) per node, columns indexed by distinct degree values.
+    C: sp.csr_matrix, mode: DistanceMode
+) -> tuple[sp.csr_matrix, np.ndarray, float]:
+    """Rows of sqrt(mass) per row of the count matrix C.
 
-    Returns (labels, S, m) with m[i] = ||S_i||^2 (total vector mass: the
-    degree in raw mode, 1 or 0 in normalized mode).
+    Returns (S, m, coef) with m[i] = ||S_i||^2 (total vector mass: the
+    degree in raw mode, 1 or 0 in normalized mode) and coef * ||S_x - S_y||^2
+    the squared distance.
     """
-    labels = list(graph.nodes(side))
-    vectors = [_node_vector(graph, x, side, weighted) for x in labels]
-    degrees = sorted({k for v in vectors for k in v.entries})
-    col = {d: j for j, d in enumerate(degrees)}
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    masses = np.zeros(len(labels))
-    for i, v in enumerate(vectors):
-        total = v.total_mass
-        for d in sorted(v.entries):
-            w = v.entries[d]
-            if mode is DistanceMode.NORMALIZED:
-                w = w / total if total > 0 else 0.0
-            indices.append(col[d])
-            data.append(math.sqrt(w))
-        indptr.append(len(indices))
-        if mode is DistanceMode.NORMALIZED:
-            masses[i] = 1.0 if total > 0 else 0.0
-        else:
-            masses[i] = total
-    S = sp.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(labels), max(len(degrees), 1)),
-    )
-    return labels, S, masses
+    totals = np.asarray(C.sum(axis=1)).ravel()
+    if mode is DistanceMode.RAW:
+        return C.sqrt(), totals, 1.0
+    mass = C.data / np.repeat(totals, np.diff(C.indptr))
+    S = sp.csr_matrix((np.sqrt(mass), C.indices, C.indptr), shape=C.shape)
+    return S, (totals > 0).astype(float), 0.5
 
 
 def _unique_rows(
@@ -199,8 +183,19 @@ def _unique_rows(
     return S[keep], masses[keep], inverse, np.bincount(inverse)
 
 
+def _sq_diff(S: sp.csr_matrix, a, b, coef: float) -> np.ndarray:
+    """coef * ||S_a - S_b||^2 for each pair of row indices in a and b, by
+    direct subtraction: exact where the gram form cancels."""
+    diff = S[a] - S[b]
+    return coef * np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
+
+
 def _block_distances(S: sp.csr_matrix, masses: np.ndarray, lo: int, hi: int, coef: float) -> np.ndarray:
-    """Dense distance rows lo:hi against all columns; S has no two equal rows."""
+    """Dense distance rows lo:hi against all rows of S.
+
+    Row i is at distance 0 from itself; rows equal to it elsewhere in S come
+    out 0 through the direct-subtraction step.
+    """
     gram = (S[lo:hi] @ S.T).toarray()
     d2 = coef * (masses[lo:hi, None] + masses[None, :] - 2.0 * gram)
     diag = np.arange(hi - lo)
@@ -211,8 +206,7 @@ def _block_distances(S: sp.csr_matrix, masses: np.ndarray, lo: int, hi: int, coe
     off = lo + r != j
     r, j = r[off], j[off]
     if len(r):
-        diff = S[lo + r] - S[j]
-        d2[r, j] = coef * np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
+        d2[r, j] = _sq_diff(S, lo + r, j, coef)
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
 
@@ -243,7 +237,8 @@ def distance_matrix(
     Storage is quadratic; sides larger than ``max_side`` are refused unless
     ``force`` is set.
     """
-    labels, S, masses = _sqrt_mass_matrix(graph, side, mode, weighted)
+    labels = list(graph.nodes(side))
+    S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)
     n = len(labels)
     if n == 0:
         raise ValueError(f"side {side.value} is empty")
@@ -252,7 +247,6 @@ def distance_matrix(
             f"side has {n} nodes (> cap {max_side}); pass force=True to override"
         )
     U, mu, inverse, counts = _unique_rows(S, masses)
-    coef = 0.5 if mode is DistanceMode.NORMALIZED else 1.0
     values = np.empty((n, n))
 
     def fill(lo: int, hi: int) -> None:
@@ -285,12 +279,12 @@ def hellrank(
     identical nodes) all scores are 1.0 and a DegenerateDistancesWarning is
     emitted.
     """
-    labels, S, masses = _sqrt_mass_matrix(graph, side, mode, weighted)
+    labels = list(graph.nodes(side))
+    S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)
     n = len(labels)
     if n < 2:
         raise ValueError(f"side {side.value} needs >= 2 nodes, has {n}")
     U, mu, inverse, counts = _unique_rows(S, masses)
-    coef = 0.5 if mode is DistanceMode.NORMALIZED else 1.0
 
     def row_sums(lo: int, hi: int) -> np.ndarray:
         d = _block_distances(U, mu, lo, hi, coef)
@@ -338,7 +332,7 @@ class DistanceMatrix:
 
 def threshold_graph(matrix: DistanceMatrix, threshold: float) -> UnipartiteGraph:
     """Graph on the matrix labels with an edge wherever d(u, v) < threshold."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     labels = matrix.labels
     edges = [

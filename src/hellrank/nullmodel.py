@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .graph import BipartiteGraph, Side
-from .hellinger import DistanceMode, node_distance
+from .hellinger import DistanceMode, _block_distances, _count_matrix, _sqrt_mass_matrix
+from .hellinger import node_distance  # noqa: F401  (perfbench/spans.py wraps this name)
 
 __all__ = [
     "NullModelParams",
@@ -164,16 +164,12 @@ def monte_carlo_distance(
                         f"no degree-{k} reference after {max_rejects} draws; "
                         "pick k closer to n2*p"
                     )
-            rest = _sample_graph(rng, params.n1 - 1, params.n2, params.p)
-            adj = np.vstack([row, rest])
-            graph = _graph_from_matrix(adj)
-            left = graph.left_nodes
-            d = np.array(
-                [
-                    node_distance(graph, left[0], z, DistanceMode.RAW, side=Side.LEFT)
-                    for z in left[1:]
-                ]
-            )
+            adj = np.vstack([row, _sample_graph(rng, params.n1 - 1, params.n2, params.p)])
+            # left node i counts its neighbors by degree; a right node's degree is its column sum
+            i, j = np.nonzero(adj)
+            C = _count_matrix(i, adj.sum(axis=0)[j], np.ones(len(i)), params.n1)
+            S, masses, coef = _sqrt_mass_matrix(C, DistanceMode.RAW)
+            d = _block_distances(S, masses, 0, 1, coef)[0, 1:]
         collected.append(d)
         count += len(d)
     d = np.concatenate(collected)[:samples]
@@ -182,19 +178,9 @@ def monte_carlo_distance(
     return DistanceMoments(mean=m1, second_moment=m2, variance=max(m2 - m1 * m1, 0.0))
 
 
-def _graph_from_matrix(adj: np.ndarray) -> BipartiteGraph:
-    n1, n2 = adj.shape
-    edges = [(f"L{i}", f"R{j}") for i, j in zip(*np.nonzero(adj))]
-    return BipartiteGraph(
-        edges,
-        isolated_left=[f"L{i}" for i in range(n1)],
-        isolated_right=[f"R{j}" for j in range(n2)],
-    )
-
-
 def similarity_threshold(params: NullModelParams, sigmas: float = 1.0) -> float:
     """Distance cutoff mean - sigmas * stddev under the null model, floored at 0."""
-    if sigmas < 0:
-        raise ValueError(f"sigmas must be >= 0, got {sigmas}")
+    if not 0 <= sigmas < math.inf:
+        raise ValueError(f"sigmas must be finite and >= 0, got {sigmas}")
     m = expected_distance_moments(params)
     return max(0.0, m.mean - sigmas * math.sqrt(m.variance))

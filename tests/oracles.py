@@ -15,21 +15,25 @@ import numpy as np
 from hellrank.graph import BipartiteGraph, Side
 
 
-def dense_neighbor_degree_vector(graph: BipartiteGraph, node: str, side: Side) -> list[float]:
-    degrees = [graph.degree(nb, side.other) for nb in graph.neighbors(node, side)]
+def dense_neighbor_degree_vector(
+    graph: BipartiteGraph, node: str, side: Side, weighted: bool = False
+) -> list[float]:
     top = 0
     for s in (Side.LEFT, Side.RIGHT):
         for x in graph.nodes(s):
             top = max(top, graph.degree(x, s))
     vec = [0.0] * max(top, 1)
-    for d in degrees:
-        vec[d - 1] += 1.0
+    for nb in graph.neighbors(node, side):
+        link = (node, nb) if side is Side.LEFT else (nb, node)
+        vec[graph.degree(nb, side.other) - 1] += graph.link_weight(*link) if weighted else 1.0
     return vec
 
 
-def brute_distance(graph: BipartiteGraph, x: str, y: str, side: Side, normalized: bool) -> float:
-    p = dense_neighbor_degree_vector(graph, x, side)
-    q = dense_neighbor_degree_vector(graph, y, side)
+def brute_distance(
+    graph: BipartiteGraph, x: str, y: str, side: Side, normalized: bool, weighted: bool = False
+) -> float:
+    p = dense_neighbor_degree_vector(graph, x, side, weighted)
+    q = dense_neighbor_degree_vector(graph, y, side, weighted)
     if normalized:
         sp, sq = sum(p), sum(q)
         p = [v / sp for v in p] if sp else p
@@ -143,8 +147,37 @@ def sample_model_distances(n1: int, n2: int, p: float, k: int, samples: int, see
     return np.concatenate(out)[:samples]
 
 
+def empirical_mc_distances(
+    n1: int, n2: int, p: float, k: int, samples: int, seed: int
+) -> np.ndarray:
+    """Raw-mode distances from a degree-k reference node to the other left
+    nodes of G(n1, n2, p) draws, scored by brute_distance on string-labelled
+    graphs.
+
+    Draws the same random numbers in the same order as the empirical
+    monte_carlo_distance: a one-row reference draw, repeated until its degree
+    is k, then the other n1 - 1 rows.
+    """
+    rng = np.random.default_rng(seed)
+    out: list[list[float]] = []
+    count = 0
+    while count < samples:
+        row = rng.random((1, n2)) < p
+        if int(row.sum()) != k:
+            continue
+        graph = bipartite_from_matrix(np.vstack([row, rng.random((n1 - 1, n2)) < p]))
+        out.append([brute_distance(graph, "L0", f"L{i}", Side.LEFT, False) for i in range(1, n1)])
+        count += n1 - 1
+    return np.concatenate(out)[:samples]
+
+
 def random_bipartite(rng: np.random.Generator, n1: int, n2: int, p: float) -> BipartiteGraph:
-    adj = rng.random((n1, n2)) < p
+    return bipartite_from_matrix(rng.random((n1, n2)) < p)
+
+
+def bipartite_from_matrix(adj: np.ndarray) -> BipartiteGraph:
+    """Left node Li -- right node Rj wherever adj[i, j]; every node is kept."""
+    n1, n2 = adj.shape
     edges = [(f"L{i}", f"R{j}") for i, j in zip(*np.nonzero(adj))]
     return BipartiteGraph(
         edges,

@@ -159,6 +159,13 @@ class TestThresholdGraph:
         )
         assert out == "source,target\nA,B\nB,C\n"
 
+    def test_nan_threshold_exit_1(self, capsys, fig1_file):
+        argv = ["threshold-graph", "--input", fig1_file, "--format", "csv"]
+        assert run(argv + ["--threshold", "nan"]) == 1
+        assert "threshold" in capsys.readouterr().err
+        # every pair is closer than infinity
+        assert run_ok(capsys, argv + ["--threshold", "inf"]).count("\n") == 1 + 6
+
     def test_weighted(self, capsys, weighted_file):
         argv = ["threshold-graph", "--input", weighted_file, "--weighted", "--format", "csv"]
         # unweighted, d(a, b) = 0 would put a -- b below any positive threshold
@@ -188,6 +195,14 @@ class TestNullModel:
     def test_invalid_params_exit_1(self, capsys):
         assert run(["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "11"]) == 1
         assert "hellrank:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigmas", ["nan", "inf"])
+    def test_non_finite_sigmas_exit_1(self, capsys, sigmas):
+        # json.dump would print NaN or Infinity, which strict parsers reject
+        argv = ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5"]
+        assert run(argv + ["--sigmas", sigmas]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sigmas" in captured.err
 
 
 class TestProject:
@@ -237,6 +252,13 @@ class TestErrorsAndDeterminism:
         single = run_ok(capsys, argv + ["--threads", "1"])
         multi = run_ok(capsys, argv + ["--threads", "4"])
         assert single == multi
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_usage_error(self, capsys, threads):
+        with pytest.raises(SystemExit) as err:
+            run(["scores", "--dataset", "davis", "--threads", threads])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_builtin_registry(self):
         assert builtin_names() == ["davis"]

@@ -39,6 +39,10 @@ def class_graph(n_classes: int, copies: int) -> BipartiteGraph:
     return BipartiteGraph(edges)
 
 
+def random_edges(rng, n1: int, n2: int, p: float) -> list[tuple[str, str]]:
+    return [(f"L{i}", f"R{j}") for i, j in zip(*np.nonzero(rng.random((n1, n2)) < p))]
+
+
 def assert_matches_oracle(g: BipartiteGraph, mode: DistanceMode) -> None:
     got = hellrank(g, Side.LEFT, mode)
     want = brute_hellrank(g, Side.LEFT, mode is DistanceMode.NORMALIZED)
@@ -111,6 +115,77 @@ class TestNodeDistance:
         assert got == pytest.approx(math.sqrt(1 - math.sqrt(0.8)), abs=1e-12)
         with pytest.raises(ValueError, match="no link weights"):
             weighted_node_distance(BipartiteGraph([("a", "1"), ("b", "1")]), "a", "b")
+
+
+class TestNodeDistanceOracle:
+    """node_distance and weighted_node_distance against brute_distance on
+    inputs where a pair's distance cancels or a vector is empty."""
+
+    @staticmethod
+    def near_duplicate_graph(weights: bool) -> BipartiteGraph:
+        # vectors {1: 3000, 2: 1} and {1: 3001, 2: 1}, as in TestAdversarialKernel
+        edges = [("a", "s"), ("b", "s"), ("c", "t")]
+        edges += [("a", f"a{t}") for t in range(3000)]
+        edges += [("b", f"b{t}") for t in range(3001)]
+        return BipartiteGraph(edges, [1.0 + (t % 3) / 4 for t in range(len(edges))] if weights else None)
+
+    @staticmethod
+    def assert_pairs_match(g: BipartiteGraph, pairs, mode: DistanceMode) -> None:
+        normalized = mode is DistanceMode.NORMALIZED
+        for x, y in pairs:
+            want = brute_distance(g, x, y, Side.LEFT, normalized)
+            assert node_distance(g, x, y, mode) == pytest.approx(want, abs=1e-12)
+            if g.is_weighted:
+                want = brute_distance(g, x, y, Side.LEFT, normalized, weighted=True)
+                got = weighted_node_distance(g, x, y, mode)
+                assert got == pytest.approx(want, abs=1e-12)
+                assert node_distance(g, x, y, mode, weighted=True) == got
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("weights", [False, True])
+    def test_near_duplicate_pair(self, mode, weights):
+        g = self.near_duplicate_graph(weights)
+        assert node_distance(g, "a", "b", mode) > 0.0
+        self.assert_pairs_match(g, [("a", "b"), ("b", "a"), ("a", "c")], mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("weights", [None, [2.0, 0.5, 1.5, 3.0]])
+    def test_isolated_nodes(self, mode, weights):
+        g = BipartiteGraph(
+            [("a", "1"), ("b", "1"), ("b", "2"), ("c", "2")], weights, isolated_left=["z1", "z2"]
+        )
+        assert node_distance(g, "z1", "z2", mode) == 0.0
+        self.assert_pairs_match(g, [("z1", "z2"), ("z1", "a"), ("b", "z2"), ("a", "b")], mode)
+
+    def test_random_weighted_graphs(self, rng):
+        for _ in range(10):
+            edges = random_edges(rng, 8, 10, 0.3)
+            g = BipartiteGraph(edges, rng.uniform(0.1, 5.0, size=len(edges)))
+            nodes = g.left_nodes
+            for mode in MODES:
+                self.assert_pairs_match(g, [(x, y) for x in nodes for y in nodes if x < y], mode)
+
+
+class TestUnitWeights:
+    """With every link weight 1.0 the weighted path equals the unweighted one
+    exactly: the weight sums are the neighbor counts."""
+
+    def test_weighted_equals_unweighted(self, rng):
+        edges = random_edges(rng, 30, 20, 0.15)
+        plain = BipartiteGraph(edges, isolated_left=["z1", "z2"])
+        g = BipartiteGraph(edges, [1.0] * len(edges), isolated_left=["z1", "z2"])
+        for side in Side:
+            nodes = g.nodes(side)
+            for mode in MODES:
+                for x, y in [(nodes[0], z) for z in nodes[1:]] + [(nodes[3], nodes[7])]:
+                    assert weighted_node_distance(g, x, y, mode, side) == node_distance(
+                        plain, x, y, mode, side
+                    )
+                assert np.array_equal(
+                    distance_matrix(g, side, mode, weighted=True).values,
+                    distance_matrix(plain, side, mode).values,
+                )
+                assert hellrank(g, side, mode, weighted=True).scores == hellrank(plain, side, mode).scores
 
 
 class TestDistanceBounds:
@@ -314,6 +389,12 @@ class TestThresholdGraph:
     def test_validation(self, fig1):
         with pytest.raises(ValueError, match=">= 0"):
             threshold_graph(distance_matrix(fig1, Side.LEFT), -0.1)
+
+    def test_nan_rejected_inf_allowed(self, fig1):
+        m = distance_matrix(fig1, Side.LEFT)
+        with pytest.raises(ValueError, match=">= 0"):
+            threshold_graph(m, math.nan)
+        assert threshold_graph(m, math.inf).num_edges == 6
 
     def test_matches_dense_formula_with_ties(self, rng):
         n = 60

@@ -13,7 +13,7 @@ from hellrank import (
 )
 from hellrank.nullmodel import SamplingError
 
-from oracles import poisson_hellinger_sq_series, sample_model_distances
+from oracles import empirical_mc_distances, poisson_hellinger_sq_series, sample_model_distances
 
 
 class TestPoissonHellingerSq:
@@ -113,6 +113,16 @@ class TestMonteCarlo:
         mc = monte_carlo_distance(params, 100, seed=1, method="empirical")
         assert mc.mean > 0.0 and mc.variance >= 0.0
 
+    @pytest.mark.parametrize(
+        "n1, n2, p, k, samples, seed", [(6, 40, 0.15, 6, 103, 1), (12, 60, 0.1, 5, 150, 4)]
+    )
+    def test_empirical_matches_brute_force_replay(self, n1, n2, p, k, samples, seed):
+        mc = monte_carlo_distance(NullModelParams(n1, n2, p, k), samples, seed)
+        d = empirical_mc_distances(n1, n2, p, k, samples, seed)
+        assert len(d) == samples
+        assert mc.mean == pytest.approx(d.mean(), abs=1e-12)
+        assert mc.second_moment == pytest.approx((d * d).mean(), abs=1e-12)
+
     def test_empirical_exceeds_limit_model(self):
         # finite graphs have sparse integer histograms, so their distances sit
         # above the smooth-limit closed form; see the module docstring
@@ -151,3 +161,8 @@ class TestSimilarityThreshold:
     def test_validation(self):
         with pytest.raises(ValueError):
             similarity_threshold(NullModelParams(n1=5, n2=10, p=0.5, k=5), -1.0)
+
+    @pytest.mark.parametrize("sigmas", [math.nan, math.inf])
+    def test_non_finite_rejected(self, sigmas):
+        with pytest.raises(ValueError, match="finite"):
+            similarity_threshold(NullModelParams(n1=5, n2=10, p=0.5, k=5), sigmas)
