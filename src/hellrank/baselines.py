@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,88 +57,106 @@ class PageRankConfig:
             raise ValueError("tolerance must be > 0 and max_iterations >= 1")
 
 
-# -- generic adjacency helpers ----------------------------------------------
+# -- adjacency and breadth-first search --------------------------------------
+
+# Elements per dense (nodes x sources) array of one BFS block; the block's
+# source count follows from the node count.  Kept small: on a 1,300-node
+# graph, 8x the budget raised the peak RSS of `scores --metric all` by about
+# 4.5 MB (7%) and ran no faster.
+_BLOCK_ELEMENTS = 8192
 
 
-def _combined(graph: BipartiteGraph):
-    """Labels (left then right) and integer adjacency lists for both sides."""
+def _csr(lists) -> sp.csr_matrix:
+    """Square 0/1 CSR matrix whose row i holds the column indices ``lists[i]``."""
+    indptr = np.cumsum([0] + [len(a) for a in lists])
+    indices = np.fromiter((j for a in lists for j in a), dtype=np.int64, count=indptr[-1])
+    n = len(lists)
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+
+def _adjacency(graph: BipartiteGraph):
+    """Labels (left then right) and the symmetric CSR adjacency of both sides."""
     labels = [(Side.LEFT, x) for x in graph.left_nodes] + [
         (Side.RIGHT, y) for y in graph.right_nodes
     ]
     index = {key: i for i, key in enumerate(labels)}
-    adj: list[list[int]] = []
-    for side, x in labels:
-        adj.append([index[(side.other, nb)] for nb in graph.neighbors(x, side)])
-    return labels, adj
+    return labels, _csr(
+        [[index[(side.other, nb)] for nb in graph.neighbors(x, side)] for side, x in labels]
+    )
 
 
-def _bfs_distances(adj: list[list[int]], source: int) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                q.append(w)
-    return dist
+def _on_side(labels, values, side: Side) -> dict[str, float]:
+    """{label: value} for one side's nodes of ``_adjacency``'s labels."""
+    return {x: v for (s, x), v in zip(labels, values.tolist()) if s is side}
 
 
-def _brandes(adj: list[list[int]]) -> list[float]:
-    """Unweighted betweenness, endpoints excluded, each pair counted once."""
-    n = len(adj)
-    bc = [0.0] * n
-    for s in range(n):
-        stack: list[int] = []
-        pred: list[list[int]] = [[] for _ in range(n)]
-        sigma = [0] * n
-        dist = [-1] * n
-        sigma[s] = 1
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    pred[w].append(v)
-        delta = [0.0] * n
-        while stack:
-            w = stack.pop()
-            for v in pred[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                bc[w] += delta[w]
-    return [b / 2.0 for b in bc]
+def _source_blocks(n: int):
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _closeness_values(adj: list[list[int]], numerators: list[float], warn_label: str):
+def _bfs(A: sp.csr_matrix, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances (-1 where unreachable) and shortest-path counts from the
+    sources lo..hi-1, one column per source.
+
+    All sources advance one level per sparse product: the path counts of a
+    level's nodes, summed over their neighbors, are the counts of the next
+    level's nodes.
+    """
+    cols = np.arange(hi - lo)
+    dist = np.full((A.shape[0], hi - lo), -1, dtype=np.int64)
+    sigma = np.zeros(dist.shape)
+    dist[lo + cols, cols] = 0
+    sigma[lo + cols, cols] = 1.0
+    frontier = sigma
+    level = 0
+    while frontier.any():
+        reach = A @ frontier
+        new = (reach > 0) & (dist < 0)
+        level += 1
+        dist[new] = level
+        sigma[new] = reach[new]
+        frontier = np.where(new, sigma, 0.0)
+    return dist, sigma
+
+
+def _brandes(A: sp.csr_matrix) -> np.ndarray:
+    """Unweighted betweenness, endpoints excluded, each pair counted once.
+
+    Brandes (2001) dependencies, accumulated level by level from the deepest:
+    a node at level l-1 collects sigma_v / sigma_w * (1 + delta_w) from each
+    neighbor w at level l.
+    """
+    bc = np.zeros(A.shape[0])
+    for lo, hi in _source_blocks(A.shape[0]):
+        dist, sigma = _bfs(A, lo, hi)
+        delta = np.zeros(dist.shape)
+        for level in range(dist.max(), 1, -1):
+            share = np.divide(1.0 + delta, sigma, out=np.zeros(dist.shape), where=dist == level)
+            delta += (dist == level - 1) * sigma * (A @ share)
+        bc += delta.sum(axis=1)
+    return bc / 2.0
+
+
+def _closeness_values(A: sp.csr_matrix, numerators: np.ndarray, warn_label: str) -> np.ndarray:
     """normalizer / distance-sum per node, with reachable-fraction scaling
     when the graph is disconnected."""
-    n = len(adj)
-    out = [0.0] * n
-    disconnected = False
-    for v in range(n):
-        dist = _bfs_distances(adj, v)
-        reach = [d for i, d in enumerate(dist) if d > 0]
-        total = sum(reach)
-        if len(reach) < n - 1:
-            disconnected = True
-        if total == 0:
-            out[v] = 0.0
-        else:
-            out[v] = (len(reach) / (n - 1)) * numerators[v] / total
-    if disconnected:
+    n = A.shape[0]
+    reached = np.zeros(n, dtype=np.int64)
+    total = np.zeros(n, dtype=np.int64)
+    for lo, hi in _source_blocks(n):
+        dist, _ = _bfs(A, lo, hi)
+        reached[lo:hi] = (dist > 0).sum(axis=0)
+        total[lo:hi] = np.maximum(dist, 0).sum(axis=0)
+    if (reached < n - 1).any():
         warnings.warn(
             f"{warn_label}: graph is disconnected; closeness restricted to "
             "reachable nodes and scaled by the reachable fraction",
             DisconnectedGraphWarning,
         )
+    out = np.zeros(n)
+    some = total > 0
+    out[some] = reached[some] / (n - 1) * numerators[some] / total[some]
     return out
 
 
@@ -160,18 +177,11 @@ def bipartite_degree(graph: BipartiteGraph, side: Side) -> CentralityScores:
 
 def bipartite_closeness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Geodesic closeness with the two-mode normalizer n_other + 2(n_own - 1)."""
-    labels, adj = _combined(graph)
+    labels, A = _adjacency(graph)
     n1, n2 = graph.n1, graph.n2
-    numerators = [
-        float(n2 + 2 * (n1 - 1)) if s is Side.LEFT else float(n1 + 2 * (n2 - 1))
-        for s, _ in labels
-    ]
-    values = _closeness_values(adj, numerators, "bipartite_closeness")
-    return CentralityScores(
-        side=side,
-        metric="closeness2",
-        scores={x: v for (s, x), v in zip(labels, values) if s is side},
-    )
+    numerators = np.repeat([float(n2 + 2 * (n1 - 1)), float(n1 + 2 * (n2 - 1))], [n1, n2])
+    values = _closeness_values(A, numerators, "bipartite_closeness")
+    return CentralityScores(side=side, metric="closeness2", scores=_on_side(labels, values, side))
 
 
 def betweenness_ceiling(n_own: int, n_other: int) -> float:
@@ -186,28 +196,17 @@ def betweenness_ceiling(n_own: int, n_other: int) -> float:
 
 def bipartite_betweenness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Shortest-path betweenness divided by the side-specific ceiling."""
-    labels, adj = _combined(graph)
-    raw = _brandes(adj)
+    labels, A = _adjacency(graph)
+    raw = _brandes(A)
     n1, n2 = graph.n1, graph.n2
     bmax = betweenness_ceiling(n1, n2) if side is Side.LEFT else betweenness_ceiling(n2, n1)
     scores = {}
-    for (s, x), b in zip(labels, raw):
-        if s is not side:
-            continue
+    for x, b in _on_side(labels, raw, side).items():
         v = b / bmax if bmax > 0 else 0.0
         if v > 1.0 + 1e-9 / max(bmax, 1.0):
             warnings.warn(f"betweenness of {x!r} exceeds its ceiling; clamping")
         scores[x] = min(v, 1.0)
     return CentralityScores(side=side, metric="betweenness2", scores=scores)
-
-
-def _adjacency_csr(graph: BipartiteGraph):
-    labels, adj = _combined(graph)
-    indptr = np.cumsum([0] + [len(a) for a in adj])
-    indices = np.concatenate([np.array(a, dtype=np.int64) for a in adj]) if indptr[-1] else np.array([], dtype=np.int64)
-    data = np.ones(len(indices))
-    n = len(labels)
-    return labels, sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def eigenvector_centrality(
@@ -222,7 +221,7 @@ def eigenvector_centrality(
     while breaking the +/-lambda pairing that makes plain iteration on a
     bipartite adjacency matrix oscillate.
     """
-    labels, A = _adjacency_csr(graph)
+    labels, A = _adjacency(graph)
     n = A.shape[0]
     v = np.ones(n) / math.sqrt(n)
     residual = math.inf
@@ -238,13 +237,10 @@ def eigenvector_centrality(
             break
     else:
         raise ConvergenceError("eigenvector power iteration did not converge", residual)
-    v = np.abs(v)
-    sub = np.array([x for (s, _), x in zip(labels, v) if s is side])
-    top = sub.max() if len(sub) and sub.max() > 0 else 1.0
+    sub = _on_side(labels, np.abs(v), side)
+    top = max(sub.values(), default=0.0) or 1.0
     return CentralityScores(
-        side=side,
-        metric="eigenvector",
-        scores={x: val / top for (s, x), val in zip(labels, v) if s is side},
+        side=side, metric="eigenvector", scores={x: val / top for x, val in sub.items()}
     )
 
 
@@ -258,7 +254,7 @@ def pagerank(
     Each undirected link acts as two directed links; degree-0 nodes
     redistribute their mass uniformly.
     """
-    labels, A = _adjacency_csr(graph)
+    labels, A = _adjacency(graph)
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty graph")
@@ -280,11 +276,7 @@ def pagerank(
         raise ConvergenceError("pagerank did not converge", err)
 
     def side_scores(s: Side) -> CentralityScores:
-        return CentralityScores(
-            side=s,
-            metric="pagerank",
-            scores={x: float(v) for (ls, x), v in zip(labels, r) if ls is s},
-        )
+        return CentralityScores(side=s, metric="pagerank", scores=_on_side(labels, r, s))
 
     if side is not None:
         return side_scores(side)
@@ -368,21 +360,19 @@ def projected_centrality(
 ) -> CentralityScores:
     """degree / closeness / betweenness on the one-mode projection."""
     proj = project(graph, side)
-    nodes = list(proj.nodes)
+    nodes = proj.nodes
     index = {x: i for i, x in enumerate(nodes)}
-    adj = [[index[v] for v in proj.neighbors(u)] for u in nodes]
+    A = _csr([[index[v] for v in proj.neighbors(u)] for u in nodes])
     n = len(nodes)
     if metric == "degree":
-        denom = max(n - 1, 1)
-        values = [len(a) / denom for a in adj]
+        values = np.diff(A.indptr) / max(n - 1, 1)
     elif metric == "closeness":
-        values = _closeness_values(adj, [float(n - 1)] * n, "projected closeness")
+        values = _closeness_values(A, np.full(n, float(n - 1)), "projected closeness")
     elif metric == "betweenness":
-        raw = _brandes(adj)
         denom = (n - 1) * (n - 2) / 2.0
-        values = [b / denom if denom > 0 else 0.0 for b in raw]
+        values = _brandes(A) / denom if denom > 0 else np.zeros(n)
     else:
         raise ValueError(f"unknown projected metric {metric!r}")
     return CentralityScores(
-        side=side, metric=f"{metric}1", scores=dict(zip(nodes, values))
+        side=side, metric=f"{metric}1", scores=dict(zip(nodes, values.tolist()))
     )

@@ -89,7 +89,19 @@ def _output(args):
         yield sys.stdout
 
 
-def _add_common(p: argparse.ArgumentParser, needs_graph: bool = True) -> None:
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _add_common(
+    p: argparse.ArgumentParser, needs_graph: bool = True, threads: bool = False
+) -> None:
     if needs_graph:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", help="edge-list file path")
@@ -104,8 +116,8 @@ def _add_common(p: argparse.ArgumentParser, needs_graph: bool = True) -> None:
         p.add_argument("--side", choices=["left", "right"], default="left")
         p.add_argument("--mode", choices=["raw", "normalized"], default="normalized")
     p.add_argument("--output", help="output file (default: stdout)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads")
-    p.add_argument("--seed", type=int, default=0)
+    if threads:
+        p.add_argument("--threads", type=_positive_int, default=None, help="worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,37 +127,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scores", help="centrality score tables")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--metric", default="hellrank", choices=METRICS + ["all"])
     p.add_argument("--normalize", choices=["none", "max"], default="none")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--damping", type=float, default=0.85)
 
     p = sub.add_parser("distances", help="pairwise distance matrix (CSV)")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--force", action="store_true", help="override the size cap")
 
     p = sub.add_parser("correlate", help="rank agreement between two metrics")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--damping", type=float, default=0.85)
 
     p = sub.add_parser("sweep-k", help="top-k agreement series (CSV)")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--damping", type=float, default=0.85)
 
     p = sub.add_parser("threshold-graph", help="graph of node pairs closer than a cutoff")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--format", choices=["dot", "csv"], default="dot")
 
     p = sub.add_parser("null-model", help="random-graph distance statistics (JSON)")
     _add_common(p, needs_graph=False)
+    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo random seed")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
@@ -207,8 +220,6 @@ def _pair_tables(args, graph):
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     if getattr(args, "dataset", None):
         if args.weighted:
             parser.error("--weighted needs --input: --dataset graphs have no link weights")
@@ -231,16 +242,20 @@ def run(argv: list[str] | None = None) -> int:
                 m.to_csv(out)
             elif args.command == "correlate":
                 graph = _load_graph(args)
+                n = len(graph.nodes(Side(args.side)))
+                if args.topk > n:
+                    raise ValueError(
+                        f"--topk must be at most {n}, the {args.side} node count; got {args.topk}"
+                    )
                 a, b = _pair_tables(args, graph)
                 tau = rankeval.kendall_tau(
                     rankeval.RankVector.from_scores(a), rankeval.RankVector.from_scores(b)
                 )
+                top_a = rankeval.top_k_vector(a, args.topk)
+                top_b = rankeval.top_k_vector(b, args.topk)
                 try:
-                    rho = rankeval.spearman_rho(
-                        rankeval.top_k_vector(a, args.topk),
-                        rankeval.top_k_vector(b, args.topk),
-                    )
-                except ValueError:
+                    rho = rankeval.spearman_rho(top_a, top_b)
+                except ValueError:  # a constant indicator, e.g. k = n
                     rho = None
                 json.dump(
                     {

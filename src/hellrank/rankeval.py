@@ -124,11 +124,21 @@ def spearman_rho(a: RankVector, b: RankVector) -> float:
     return float((xc * yc).sum() / denom)
 
 
+def _ranking(scores: CentralityScores) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted labels and their positions from best score to worst, ties in
+    label order (the order of ``CentralityScores.ranked``)."""
+    labels = tuple(sorted(scores.scores))
+    return labels, np.argsort([-scores[x] for x in labels], kind="stable")
+
+
 def top_k_vector(scores: CentralityScores, k: int) -> RankVector:
     """Binary indicator of the k best-scoring labels (cutoff ties -> label order)."""
-    top = set(scores.top_k(k))
-    labels = tuple(sorted(scores.scores))
-    return RankVector(labels, np.array([1.0 if x in top else 0.0 for x in labels]))
+    if not 1 <= k <= len(scores):
+        raise ValueError(f"k must be in 1..{len(scores)}, got {k}")
+    labels, order = _ranking(scores)
+    top = np.zeros(len(labels))
+    top[order[:k]] = 1.0
+    return RankVector(labels, top)
 
 
 def sweep_k(
@@ -143,15 +153,14 @@ def sweep_k(
         raise ValueError("score tables cover different label sets")
     if not 1 <= k_max <= n - 1:
         raise ValueError(f"k_max must be in 1..{n - 1}, got {k_max}")
-    # rank each table once: positions in sorted-label order, best score first,
-    # ties in label order, as top_k_vector does
-    labels = tuple(sorted(a.scores))
-    orders = [np.argsort([-t[x] for x in labels], kind="stable") for t in (a, b)]
+    # rank each table once and grow both indicators one position per k
+    labels, order_a = _ranking(a)
+    order_b = _ranking(b)[1]
     top_a, top_b = np.zeros(n), np.zeros(n)
     out: list[tuple[int, float | None]] = []
     for k in range(1, k_max + 1):
-        top_a[orders[0][k - 1]] = 1.0
-        top_b[orders[1][k - 1]] = 1.0
+        top_a[order_a[k - 1]] = 1.0
+        top_b[order_b[k - 1]] = 1.0
         try:
             out.append((k, spearman_rho(RankVector(labels, top_a), RankVector(labels, top_b))))
         except ValueError:

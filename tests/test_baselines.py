@@ -18,6 +18,7 @@ from hellrank import (
     pagerank,
     projected_centrality,
 )
+from hellrank import baselines
 from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
 
 from oracles import enumerate_4paths, random_bipartite
@@ -207,3 +208,78 @@ class TestProjectedCentrality:
     def test_unknown_metric(self, fig1):
         with pytest.raises(ValueError, match="unknown projected metric"):
             projected_centrality(fig1, Side.LEFT, "katz")
+
+
+def disconnected_graphs():
+    """Seeded random graphs with several components and isolated nodes on both sides."""
+    rng = np.random.default_rng(2024)
+    for n1, n2, p in ((14, 9, 0.12), (9, 16, 0.1), (25, 20, 0.07)):
+        g = random_bipartite(rng, n1, n2, p)
+        G, _ = to_networkx(g)
+        assert nx.number_connected_components(G) > 2
+        assert any(G.degree(v) == 0 for v in g.left_nodes)
+        assert any(G.degree("R_" + v) == 0 for v in g.right_nodes)
+        yield g, G
+
+
+def side_nodes(graph, side):
+    """(labels, networkx node names) of one side, as to_networkx names them."""
+    if side is Side.LEFT:
+        return list(graph.left_nodes), list(graph.left_nodes)
+    return list(graph.right_nodes), ["R_" + y for y in graph.right_nodes]
+
+
+def reachable_closeness(G, v, numerator):
+    """The module's closeness from networkx distances: numerator / distance
+    sum, scaled by the fraction of the other nodes that v reaches."""
+    dist = [d for u, d in nx.single_source_shortest_path_length(G, v).items() if u != v]
+    if not sum(dist):
+        return 0.0
+    return len(dist) / (len(G) - 1) * numerator / sum(dist)
+
+
+@pytest.fixture(params=[None, 1, 100], ids=["default-blocks", "one-source", "partial-blocks"])
+def block_budget(request, monkeypatch):
+    """Element budget of a BFS block; small budgets split the sources into
+    many blocks, the last one short."""
+    if request.param is not None:
+        monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", request.param)
+
+
+@pytest.mark.usefixtures("block_budget")
+@pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+class TestDisconnectedAgainstNetworkx:
+    def test_bipartite_closeness(self, side):
+        for g, G in disconnected_graphs():
+            with pytest.warns(DisconnectedGraphWarning):
+                mine = bipartite_closeness(g, side)
+            n_own, n_other = (g.n1, g.n2) if side is Side.LEFT else (g.n2, g.n1)
+            for x, v in zip(*side_nodes(g, side)):
+                ref = reachable_closeness(G, v, n_other + 2 * (n_own - 1))
+                assert mine[x] == pytest.approx(ref, abs=1e-12)
+
+    def test_bipartite_betweenness(self, side):
+        for g, G in disconnected_graphs():
+            mine = bipartite_betweenness(g, side)
+            raw = nx.betweenness_centrality(G, normalized=False)
+            n_own, n_other = (g.n1, g.n2) if side is Side.LEFT else (g.n2, g.n1)
+            ceiling = betweenness_ceiling(n_own, n_other)
+            for x, v in zip(*side_nodes(g, side)):
+                assert mine[x] == pytest.approx(raw[v] / ceiling, abs=1e-12)
+
+    def test_projected_closeness_and_betweenness(self, side):
+        for g, G in disconnected_graphs():
+            labels, names = side_nodes(g, side)
+            P = nxb.projected_graph(G, names)
+            n = len(P)
+            with pytest.warns(DisconnectedGraphWarning):
+                closeness = projected_centrality(g, side, "closeness")
+            betweenness = projected_centrality(g, side, "betweenness")
+            raw = nx.betweenness_centrality(P, normalized=False)
+            for x, v in zip(labels, names):
+                assert closeness[x] == pytest.approx(
+                    reachable_closeness(P, v, n - 1), abs=1e-12
+                )
+                assert betweenness[x] == pytest.approx(
+                    raw[v] / ((n - 1) * (n - 2) / 2), abs=1e-12
+                )

@@ -130,6 +130,25 @@ class TestCorrelate:
         assert data["spearman_top_k"] == pytest.approx(0.723077, abs=1e-5)
         assert data["k"] == 5
 
+    @pytest.mark.parametrize("topk", ["0", "-3"])
+    def test_topk_below_one_usage_error(self, capsys, topk):
+        with pytest.raises(SystemExit) as err:
+            run(["correlate", "--dataset", "davis", "--metric-b", "degree2", "--topk", topk])
+        assert err.value.code == 2
+        assert "--topk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("topk", ["19", "1000"])
+    def test_topk_above_node_count_exit_1(self, capsys, topk):
+        # davis has 18 women on the left
+        assert run(["correlate", "--dataset", "davis", "--metric-b", "degree2", "--topk", topk]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--topk" in captured.err
+
+    def test_topk_all_nodes_is_undefined(self, capsys):
+        # k = n makes both indicators constant, so the correlation is undefined
+        argv = ["correlate", "--dataset", "davis", "--metric-b", "degree2", "--topk", "18"]
+        assert json.loads(run_ok(capsys, argv))["spearman_top_k"] is None
+
 
 class TestSweepK:
     def test_series_shape(self, capsys):
@@ -259,6 +278,21 @@ class TestErrorsAndDeterminism:
             run(["scores", "--dataset", "davis", "--threads", threads])
         assert err.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scores", "--dataset", "davis", "--seed", "3"],
+            ["project", "--dataset", "davis", "--threads", "2"],
+            ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5", "--threads", "2"],
+        ],
+    )
+    def test_unread_flags_are_usage_errors(self, capsys, argv):
+        # --seed only reaches the null-model Monte Carlo, --threads only the kernel
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
 
     def test_builtin_registry(self):
         assert builtin_names() == ["davis"]
