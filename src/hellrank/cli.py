@@ -14,7 +14,15 @@ from contextlib import contextmanager
 
 from . import baselines, rankeval
 from .datasets import builtin_names, load_builtin
-from .graph import BipartiteGraph, Side, csv_field, load_edge_list, load_node_list, project
+from .graph import (
+    BipartiteGraph,
+    Side,
+    _fixed6_rows,
+    csv_field,
+    load_edge_list,
+    load_node_list,
+    project,
+)
 from .hellinger import DistanceMode, distance_matrix, hellrank, threshold_graph
 from .nullmodel import NullModelParams, expected_distance_moments, monte_carlo_distance, similarity_threshold
 from .scores import CentralityScores, normalize_scores
@@ -100,8 +108,10 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(
-    p: argparse.ArgumentParser, needs_graph: bool = True, threads: bool = False
+    p: argparse.ArgumentParser, needs_graph: bool = True, kernel: bool = False
 ) -> None:
+    """Register the shared flags; ``kernel`` adds the two that only the
+    Hellinger distance kernel reads, ``--mode`` and ``--threads``."""
     if needs_graph:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", help="edge-list file path")
@@ -114,9 +124,9 @@ def _add_common(
         )
         p.add_argument("--node-list", help="sidecar file declaring extra (isolated) nodes")
         p.add_argument("--side", choices=["left", "right"], default="left")
-        p.add_argument("--mode", choices=["raw", "normalized"], default="normalized")
     p.add_argument("--output", help="output file (default: stdout)")
-    if threads:
+    if kernel:
+        p.add_argument("--mode", choices=["raw", "normalized"], default="normalized")
         p.add_argument("--threads", type=_positive_int, default=None, help="worker threads")
 
 
@@ -127,32 +137,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scores", help="centrality score tables")
-    _add_common(p, threads=True)
+    _add_common(p, kernel=True)
     p.add_argument("--metric", default="hellrank", choices=METRICS + ["all"])
     p.add_argument("--normalize", choices=["none", "max"], default="none")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--damping", type=float, default=0.85)
 
     p = sub.add_parser("distances", help="pairwise distance matrix (CSV)")
-    _add_common(p, threads=True)
+    _add_common(p, kernel=True)
     p.add_argument("--force", action="store_true", help="override the size cap")
 
     p = sub.add_parser("correlate", help="rank agreement between two metrics")
-    _add_common(p, threads=True)
+    _add_common(p, kernel=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--damping", type=float, default=0.85)
 
     p = sub.add_parser("sweep-k", help="top-k agreement series (CSV)")
-    _add_common(p, threads=True)
+    _add_common(p, kernel=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--damping", type=float, default=0.85)
 
     p = sub.add_parser("threshold-graph", help="graph of node pairs closer than a cutoff")
-    _add_common(p, threads=True)
+    _add_common(p, kernel=True)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--format", choices=["dot", "csv"], default="dot")
 
@@ -184,7 +194,7 @@ def _scores_command(args, out) -> None:
             json.dump({"opsahl": value}, out)
             out.write("\n")
         else:
-            out.write(f"metric,value\nopsahl,{value:.6f}\n")
+            out.write(f"metric,value\nopsahl,{next(_fixed6_rows([[value]]))}\n")
         return
     names = PER_NODE_METRICS if args.metric == "all" else [args.metric]
     tables = {}
@@ -205,8 +215,9 @@ def _scores_command(args, out) -> None:
         out.write("\n")
     else:
         out.write("label," + ",".join(names) + "\n")
-        for x in labels:
-            out.write(csv_field(x) + "," + ",".join(f"{tables[n][x]:.6f}" for n in names) + "\n")
+        rows = _fixed6_rows([[tables[n][x] for n in names] for x in labels])
+        for x, row in zip(labels, rows):
+            out.write(csv_field(x) + "," + row + "\n")
 
 
 def _pair_tables(args, graph):

@@ -25,7 +25,14 @@ from typing import Iterable, Mapping, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import BipartiteGraph, Side, UnipartiteGraph, csv_field, neighbor_degree_vector
+from .graph import (
+    BipartiteGraph,
+    Side,
+    UnipartiteGraph,
+    _fixed6_rows,
+    csv_field,
+    neighbor_degree_vector,
+)
 from .scores import CentralityScores, normalize_scores
 
 __all__ = [
@@ -326,8 +333,8 @@ class DistanceMatrix:
 
     def to_csv(self, stream: TextIO) -> None:
         stream.write("," + ",".join(map(csv_field, self.labels)) + "\n")
-        for label, row in zip(self.labels, self.values):
-            stream.write(csv_field(label) + "," + ",".join(f"{v:.6f}" for v in row) + "\n")
+        for label, row in zip(self.labels, _fixed6_rows(self.values)):
+            stream.write(csv_field(label) + "," + row + "\n")
 
 
 def threshold_graph(matrix: DistanceMatrix, threshold: float) -> UnipartiteGraph:

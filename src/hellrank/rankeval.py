@@ -8,6 +8,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .graph import _fixed6_rows
 from .scores import CentralityScores
 
 __all__ = [
@@ -170,5 +171,6 @@ def sweep_k(
 
 def sweep_to_csv(series: list[tuple[int, float | None]], stream: TextIO) -> None:
     stream.write("k,rho\n")
-    for k, rho in series:
-        stream.write(f"{k},{'' if rho is None else f'{rho:.6f}'}\n")
+    cells = _fixed6_rows([[0.0 if rho is None else rho] for _, rho in series])
+    for (k, rho), cell in zip(series, cells):
+        stream.write(f"{k},{'' if rho is None else cell}\n")

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import TextIO
 
-from .graph import Side, csv_field
+from .graph import Side, _fixed6_rows, csv_field
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,10 @@ class CentralityScores:
         return [label for label, _ in self.ranked()[:k]]
 
     def to_csv(self, stream: TextIO) -> None:
+        ranked = self.ranked()
         stream.write("label,score\n")
-        for label, value in self.ranked():
-            stream.write(f"{csv_field(label)},{value:.6f}\n")
+        for (label, _), cell in zip(ranked, _fixed6_rows([[v] for _, v in ranked])):
+            stream.write(f"{csv_field(label)},{cell}\n")
 
     def to_json(self, stream: TextIO) -> None:
         json.dump(dict(self.ranked()), stream, indent=2)

@@ -2,9 +2,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from hellrank import load_builtin
+from hellrank import DistanceMode, Side, distance_matrix, load_builtin, load_edge_list
 from hellrank.cli import PER_NODE_METRICS, run
 from hellrank.datasets import builtin_names
 
@@ -120,6 +121,25 @@ class TestDistances:
         out = run_ok(capsys, ["distances", "--input", weighted_file, "--weighted"])
         # unweighted, a and b share the vector {1: 1, 3: 1} and sit at distance 0
         assert out.splitlines()[1] == "a,0.000000,0.256569,0.295176"
+
+    def test_raw_mode_mixed_widths_bytes(self, capsys, tmp_path):
+        # every left degree is >= 100; the P nodes' private leaves put raw
+        # distances above 10 into rows that also hold distances below 10
+        rng = np.random.default_rng(7)
+        adj = rng.random((200, 250)) < 0.5
+        lines = [f"L{i}\tR{j}\n" for i, j in zip(*np.nonzero(adj))]
+        lines += [f"P{i}\tleaf{i}_{j}\n" for i in range(5) for j in range(120)]
+        path = tmp_path / "dense.tsv"
+        path.write_text("".join(lines))
+        out = run_ok(capsys, ["distances", "--input", str(path), "--mode", "raw"])
+        with open(path, encoding="utf-8") as fh:
+            m = distance_matrix(load_edge_list(fh), Side.LEFT, DistanceMode.RAW)
+        assert ((m.values >= 10).any(axis=1) & (m.values < 10).any(axis=1)).all()
+        expected = "," + ",".join(m.labels) + "\n" + "".join(
+            label + "," + ",".join(f"{v:.6f}" for v in row) + "\n"
+            for label, row in zip(m.labels, m.values)
+        )
+        assert out == expected
 
 
 class TestCorrelate:
@@ -285,10 +305,11 @@ class TestErrorsAndDeterminism:
             ["scores", "--dataset", "davis", "--seed", "3"],
             ["project", "--dataset", "davis", "--threads", "2"],
             ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5", "--threads", "2"],
+            ["project", "--dataset", "davis", "--mode", "raw"],
         ],
     )
     def test_unread_flags_are_usage_errors(self, capsys, argv):
-        # --seed only reaches the null-model Monte Carlo, --threads only the kernel
+        # --seed only reaches the null-model Monte Carlo, --threads and --mode only the kernel
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,22 @@ class TestDistanceMatrix:
         n = len(m.labels)
         assert peak <= m.values.nbytes + 4 * block * n * 8
         assert np.array_equal(m.values, distance_matrix(g, Side.LEFT).values)
+
+    def test_csv_writer_memory_is_bounded(self, rng):
+        # cells are formatted a block of rows at a time, never the whole matrix
+        peaks = []
+        for n in (500, 1500):
+            values = rng.random((n, n)) * 12  # one- and two-digit integer parts
+            m = DistanceMatrix(Side.LEFT, [f"n{i}" for i in range(n)], values, DistanceMode.RAW)
+            with open(os.devnull, "w") as null:
+                tracemalloc.start()
+                try:
+                    m.to_csv(null)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] < 3 * 2**20  # the 1500 x 1500 values alone take 18 MB
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_csv_quotes_labels(self):
         g = BipartiteGraph([("x,1", "p"), ('say "hi"', "p"), ("plain", "q")])
