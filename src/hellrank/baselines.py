@@ -7,12 +7,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import BipartiteGraph, Side, UnipartiteGraph, project
 from .scores import CentralityScores
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "PageRankConfig",
@@ -68,6 +71,9 @@ _BLOCK_ELEMENTS = 8192
 
 def _csr(lists) -> sp.csr_matrix:
     """Square 0/1 CSR matrix whose row i holds the column indices ``lists[i]``."""
+    # imported here, so that the Hellinger kernel's commands never load scipy
+    import scipy.sparse as sp
+
     indptr = np.cumsum([0] + [len(a) for a in lists])
     indices = np.fromiter((j for a in lists for j in a), dtype=np.int64, count=indptr[-1])
     n = len(lists)

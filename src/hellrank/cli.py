@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, kernel=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--kmax", type=_positive_int, default=None)
     p.add_argument("--damping", type=float, default=0.85)
 
     p = sub.add_parser("threshold-graph", help="graph of node pairs closer than a cutoff")
@@ -282,8 +282,14 @@ def run(argv: list[str] | None = None) -> int:
                 out.write("\n")
             elif args.command == "sweep-k":
                 graph = _load_graph(args)
+                n = len(graph.nodes(Side(args.side)))
+                if args.kmax is not None and args.kmax > n - 1:
+                    raise ValueError(
+                        f"--kmax must be at most {n - 1}, one less than the {args.side} "
+                        f"node count; got {args.kmax}"
+                    )
                 a, b = _pair_tables(args, graph)
-                k_max = args.kmax if args.kmax is not None else len(a.scores) - 1
+                k_max = args.kmax if args.kmax is not None else n - 1
                 rankeval.sweep_to_csv(rankeval.sweep_k(a, b, k_max), out)
             elif args.command == "threshold-graph":
                 graph = _load_graph(args)

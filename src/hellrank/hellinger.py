@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import (
     BipartiteGraph,
@@ -132,7 +131,7 @@ def distance_bounds(k1: int, k2: int) -> tuple[float, float]:
 
 def _node_counts(
     graph: BipartiteGraph, labels: list[str], side: Side, weighted: bool
-) -> sp.csr_matrix:
+) -> np.ndarray:
     """Neighbor-degree counts (or weight sums), one row per label and one
     column per distinct neighbor degree, from one neighbor_degree_vector call
     per node."""
@@ -145,33 +144,50 @@ def _node_counts(
 
 def _count_matrix(
     rows: np.ndarray, degrees: np.ndarray, weights: np.ndarray, n: int
-) -> sp.csr_matrix:
-    """n-row CSR matrix summing ``weights`` at (row, column of degree), with
-    one column per distinct degree in ascending order."""
+) -> np.ndarray:
+    """Dense n-row matrix summing ``weights`` at (row, column of degree), with
+    one column per distinct degree in ascending order.
+
+    Dense is small here: a side's neighbors have at most sqrt(2m) + 1
+    distinct degrees between them.
+    """
     values, cols = np.unique(degrees, return_inverse=True)
-    return sp.csr_matrix((weights, (rows, cols)), shape=(n, max(len(values), 1)))
+    c = max(len(values), 1)
+    counts = np.bincount(rows * c + cols, weights=weights, minlength=n * c)
+    # bincount of no entries is an integer array
+    return counts.astype(float, copy=False).reshape(n, c)
 
 
-def _sqrt_mass_matrix(
-    C: sp.csr_matrix, mode: DistanceMode
-) -> tuple[sp.csr_matrix, np.ndarray, float]:
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    """Sum of each row's nonzeros in ascending column order, grouped as
+    ``np.add.reduceat`` groups them: the rounding of a CSR row sum."""
+    nz = A != 0
+    sizes = nz.sum(axis=1)
+    out = np.zeros(A.shape[0])
+    some = sizes > 0
+    if some.any():
+        starts = np.cumsum(sizes) - sizes
+        out[some] = np.add.reduceat(A[nz], starts[some])
+    return out
+
+
+def _sqrt_mass_matrix(C: np.ndarray, mode: DistanceMode) -> tuple[np.ndarray, np.ndarray, float]:
     """Rows of sqrt(mass) per row of the count matrix C.
 
     Returns (S, m, coef) with m[i] = ||S_i||^2 (total vector mass: the
     degree in raw mode, 1 or 0 in normalized mode) and coef * ||S_x - S_y||^2
     the squared distance.
     """
-    totals = np.asarray(C.sum(axis=1)).ravel()
+    totals = _row_sums(C)
     if mode is DistanceMode.RAW:
-        return C.sqrt(), totals, 1.0
-    mass = C.data / np.repeat(totals, np.diff(C.indptr))
-    S = sp.csr_matrix((np.sqrt(mass), C.indices, C.indptr), shape=C.shape)
-    return S, (totals > 0).astype(float), 0.5
+        return np.sqrt(C), totals, 1.0
+    mass = np.divide(C, totals[:, None], out=np.zeros_like(C), where=C != 0)
+    return np.sqrt(mass), (totals > 0).astype(float), 0.5
 
 
 def _unique_rows(
-    S: sp.csr_matrix, masses: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+    S: np.ndarray, masses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Collapse S to its exactly-equal rows (with equal mass).
 
     Returns (U, mu, inverse, counts): S[i] == U[inverse[i]], masses[i] ==
@@ -180,42 +196,80 @@ def _unique_rows(
     and at equal distances from every other node, so the kernel only needs
     the unique rows.
     """
-    first: dict[tuple[bytes, bytes, float], int] = {}
-    inverse = np.empty(S.shape[0], dtype=np.int64)
-    for i in range(S.shape[0]):
-        a, b = S.indptr[i], S.indptr[i + 1]
-        key = (S.indices[a:b].tobytes(), S.data[a:b].tobytes(), float(masses[i]))
-        inverse[i] = first.setdefault(key, len(first))
-    keep = np.unique(inverse, return_index=True)[1]
+    rows = np.column_stack([S, masses])
+    # one opaque item per row, so that rows are equal exactly when their bytes are
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique numbers the rows in sorted order; renumber them by first sight
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    inverse = rank[inverse.reshape(-1)]
+    keep = first[order]
     return S[keep], masses[keep], inverse, np.bincount(inverse)
 
 
-def _sq_diff(S: sp.csr_matrix, a, b, coef: float) -> np.ndarray:
+def _sq_diff(S: np.ndarray, a, b, coef: float) -> np.ndarray:
     """coef * ||S_a - S_b||^2 for each pair of row indices in a and b, by
     direct subtraction: exact where the gram form cancels."""
     diff = S[a] - S[b]
-    return coef * np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
+    return coef * _row_sums(diff * diff)
 
 
-def _block_distances(S: sp.csr_matrix, masses: np.ndarray, lo: int, hi: int, coef: float) -> np.ndarray:
+# Gram rows computed at a time: each degree column scatters its products into
+# a slab of this many rows, so the writes stay within a few MB.  The slab
+# height changes no value.
+_GRAM_ROWS = 128
+
+
+def _gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """S[lo:hi] @ S.T, accumulated one column at a time in ascending order
+    over that column's nonzero rows.
+
+    That is the summation order of a CSR product, so every entry is the same
+    double on any block height.  A BLAS product is not: it rounds
+    differently with the height of the block.
+    """
+    u = S.shape[0]
+    g = np.empty((hi - lo, u))
+    columns = [(col, np.flatnonzero(col)) for col in S.T]
+    for a in range(lo, hi, _GRAM_ROWS):
+        b = min(a + _GRAM_ROWS, hi)
+        slab = g[a - lo : b - lo]
+        slab.fill(0.0)
+        flat = slab.reshape(-1)
+        for col, J in columns:
+            I = J[np.searchsorted(J, a) : np.searchsorted(J, b)]
+            if len(I):
+                flat[((I - a) * u)[:, None] + J] += np.multiply.outer(col[I], col[J])
+    return g
+
+
+def _block_distances(S: np.ndarray, masses: np.ndarray, lo: int, hi: int, coef: float) -> np.ndarray:
     """Dense distance rows lo:hi against all rows of S.
 
     Row i is at distance 0 from itself; rows equal to it elsewhere in S come
     out 0 through the direct-subtraction step.
     """
-    gram = (S[lo:hi] @ S.T).toarray()
-    d2 = coef * (masses[lo:hi, None] + masses[None, :] - 2.0 * gram)
+    # d2 = coef * (m_i + m_j - 2 g_ij), computed in place in the gram's array
+    d2 = _gram(S, lo, hi)
+    d2 *= 2.0
+    mass_sum = np.add.outer(masses[lo:hi], masses)
+    np.subtract(mass_sum, d2, out=d2)
+    d2 *= coef
     diag = np.arange(hi - lo)
     d2[diag, lo + diag] = 0.0
     # the gram form cancels catastrophically when two vectors nearly coincide;
     # recompute those few entries by direct subtraction
-    r, j = np.nonzero(d2 < 1e-9 * (masses[lo:hi, None] + masses[None, :] + 1.0))
+    mass_sum += 1.0
+    mass_sum *= 1e-9
+    r, j = np.nonzero(d2 < mass_sum)
     off = lo + r != j
     r, j = r[off], j[off]
     if len(r):
         d2[r, j] = _sq_diff(S, lo + r, j, coef)
     np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+    return np.sqrt(d2, out=d2)
 
 
 def _blocks(n: int, block: int) -> list[tuple[int, int]]:

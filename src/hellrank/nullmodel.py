@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .hellinger import DistanceMode, _block_distances, _count_matrix, _sqrt_mass_matrix
 from .hellinger import node_distance  # noqa: F401  (perfbench/spans.py wraps this name)
@@ -79,6 +78,11 @@ def poisson_hellinger_sq(k1: float, lambda1: float, k2: float, lambda2: float) -
 
 
 def _log_poisson_pmf(i: np.ndarray, lam: float) -> np.ndarray:
+    # imported here, so that importing the package loads no scipy module;
+    # math.lgamma is no substitute: it differs from gammaln, by up to 6.6e-16
+    # relative, at 103k of the first 200k integers
+    from scipy.special import gammaln
+
     return -lam + i * math.log(lam) - gammaln(i + 1.0)
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: dense vectors, explicit pair loops,
 exhaustive path enumeration.  Nothing imports from the production distance
-or clustering code paths beyond the graph container itself.
+or clustering code paths beyond the graph container itself.  The exception
+is the last section, a copy of the scipy.sparse distance kernel that the
+dense kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -184,3 +186,79 @@ def bipartite_from_matrix(adj: np.ndarray) -> BipartiteGraph:
         isolated_left=[f"L{i}" for i in range(n1)],
         isolated_right=[f"R{j}" for j in range(n2)],
     )
+
+
+# -- the scipy.sparse distance kernel that the dense one replaced ------------
+#
+# The dense kernel in hellrank.hellinger must reproduce these functions to the
+# last bit.  ``sparse_kernel`` swaps them in for the dense ones, so the same
+# hellrank / distance_matrix / node_distance / monte_carlo_distance code runs
+# on either kernel and the two results can be compared with np.array_equal.
+
+
+def sparse_count_matrix(rows, degrees, weights, n):
+    import scipy.sparse as sp
+
+    values, cols = np.unique(degrees, return_inverse=True)
+    return sp.csr_matrix((weights, (rows, cols)), shape=(n, max(len(values), 1)))
+
+
+def sparse_sqrt_mass_matrix(C, mode):
+    import scipy.sparse as sp
+
+    from hellrank.hellinger import DistanceMode
+
+    totals = np.asarray(C.sum(axis=1)).ravel()
+    if mode is DistanceMode.RAW:
+        return C.sqrt(), totals, 1.0
+    mass = C.data / np.repeat(totals, np.diff(C.indptr))
+    S = sp.csr_matrix((np.sqrt(mass), C.indices, C.indptr), shape=C.shape)
+    return S, (totals > 0).astype(float), 0.5
+
+
+def sparse_unique_rows(S, masses):
+    first: dict = {}
+    inverse = np.empty(S.shape[0], dtype=np.int64)
+    for i in range(S.shape[0]):
+        a, b = S.indptr[i], S.indptr[i + 1]
+        key = (S.indices[a:b].tobytes(), S.data[a:b].tobytes(), float(masses[i]))
+        inverse[i] = first.setdefault(key, len(first))
+    keep = np.unique(inverse, return_index=True)[1]
+    return S[keep], masses[keep], inverse, np.bincount(inverse)
+
+
+def sparse_sq_diff(S, a, b, coef):
+    diff = S[a] - S[b]
+    return coef * np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
+
+
+def sparse_block_distances(S, masses, lo, hi, coef):
+    gram = (S[lo:hi] @ S.T).toarray()
+    d2 = coef * (masses[lo:hi, None] + masses[None, :] - 2.0 * gram)
+    diag = np.arange(hi - lo)
+    d2[diag, lo + diag] = 0.0
+    r, j = np.nonzero(d2 < 1e-9 * (masses[lo:hi, None] + masses[None, :] + 1.0))
+    off = lo + r != j
+    r, j = r[off], j[off]
+    if len(r):
+        d2[r, j] = sparse_sq_diff(S, lo + r, j, coef)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
+
+
+def sparse_kernel(monkeypatch) -> None:
+    """Run the sparse kernel above wherever the package runs its own."""
+    from hellrank import hellinger, nullmodel
+
+    swaps = {
+        "_count_matrix": sparse_count_matrix,
+        "_sqrt_mass_matrix": sparse_sqrt_mass_matrix,
+        "_unique_rows": sparse_unique_rows,
+        "_sq_diff": sparse_sq_diff,
+        "_block_distances": sparse_block_distances,
+    }
+    for name, fn in swaps.items():
+        monkeypatch.setattr(hellinger, name, fn)
+    # nullmodel imported these three by name
+    for name in ("_count_matrix", "_sqrt_mass_matrix", "_block_distances"):
+        monkeypatch.setattr(nullmodel, name, swaps[name])

@@ -180,6 +180,24 @@ class TestSweepK:
         assert len(lines) == 11
         assert lines[1].startswith("1,")
 
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_kmax_below_one_usage_error(self, capsys, kmax):
+        with pytest.raises(SystemExit) as err:
+            run(["sweep-k", "--dataset", "davis", "--metric-b", "degree2", "--kmax", kmax])
+        assert err.value.code == 2
+        assert "--kmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kmax", ["18", "100"])
+    def test_kmax_above_node_count_exit_1(self, capsys, kmax):
+        # davis has 18 women on the left, so k runs up to 17
+        assert run(["sweep-k", "--dataset", "davis", "--metric-b", "degree2", "--kmax", kmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--kmax" in captured.err
+
+    def test_kmax_at_most_n_minus_one(self, capsys):
+        argv = ["sweep-k", "--dataset", "davis", "--metric-b", "degree2", "--kmax", "17"]
+        assert len(run_ok(capsys, argv).splitlines()) == 18
+
 
 class TestThresholdGraph:
     def test_dot_isolates_flora_and_olivia(self, capsys):
