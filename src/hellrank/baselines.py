@@ -65,95 +65,162 @@ class PageRankConfig:
 # Elements per dense (nodes x sources) array of one BFS block; the block's
 # source count follows from the node count.  Kept small: on a 1,300-node
 # graph, 8x the budget raised the peak RSS of `scores --metric all` by about
-# 4.5 MB (7%) and ran no faster.
+# 4.5 MB (7%) and ran no faster.  Also the number of 2-hop walks
+# `latapy_cc` counts at a time.
 _BLOCK_ELEMENTS = 8192
 
 
-def _csr(lists) -> sp.csr_matrix:
-    """Square 0/1 CSR matrix whose row i holds the column indices ``lists[i]``."""
+def _memo(graph: BipartiteGraph, key, build):
+    """``build()``, computed once per graph and kept on it under ``key``.
+
+    A graph never changes, so an entry is never invalidated.  Two threads
+    that miss at once both build the same value, and either one is kept.
+    """
+    if key not in graph._memo:
+        graph._memo[key] = build()
+    return graph._memo[key]
+
+
+def _csr(lists) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the square 0/1 matrix whose row i holds the
+    column indices ``lists[i]``."""
+    indptr = np.cumsum([0] + [len(a) for a in lists])
+    indices = np.fromiter((j for a in lists for j in a), dtype=np.int64, count=indptr[-1])
+    return indptr, indices
+
+
+def _scipy_csr(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     # imported here, so that the Hellinger kernel's commands never load scipy
     import scipy.sparse as sp
 
-    indptr = np.cumsum([0] + [len(a) for a in lists])
-    indices = np.fromiter((j for a in lists for j in a), dtype=np.int64, count=indptr[-1])
-    n = len(lists)
+    n = len(indptr) - 1
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
-def _adjacency(graph: BipartiteGraph):
-    """Labels (left then right) and the symmetric CSR adjacency of both sides."""
-    labels = [(Side.LEFT, x) for x in graph.left_nodes] + [
-        (Side.RIGHT, y) for y in graph.right_nodes
-    ]
-    index = {key: i for i, key in enumerate(labels)}
-    return labels, _csr(
-        [[index[(side.other, nb)] for nb in graph.neighbors(x, side)] for side, x in labels]
-    )
+def _links(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the symmetric adjacency of both sides: the left
+    nodes, then the right."""
+
+    def build():
+        labels = [(Side.LEFT, x) for x in graph.left_nodes] + [
+            (Side.RIGHT, y) for y in graph.right_nodes
+        ]
+        index = {key: i for i, key in enumerate(labels)}
+        arrays = _csr(
+            [[index[(side.other, nb)] for nb in graph.neighbors(x, side)] for side, x in labels]
+        )
+        for a in arrays:
+            a.flags.writeable = False  # shared by every caller through the memo
+        return arrays
+
+    return _memo(graph, "links", build)
 
 
-def _on_side(labels, values, side: Side) -> dict[str, float]:
-    """{label: value} for one side's nodes of ``_adjacency``'s labels."""
-    return {x: v for (s, x), v in zip(labels, values.tolist()) if s is side}
+def _adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
+    """``_links`` as a scipy CSR matrix."""
+
+    def build():
+        A = _scipy_csr(*_links(graph))
+        for a in (A.data, A.indices, A.indptr):
+            a.flags.writeable = False  # shared by every caller through the memo
+        return A
+
+    return _memo(graph, "adjacency", build)
 
 
-def _source_blocks(n: int):
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _side_range(graph: BipartiteGraph, side: Side) -> tuple[int, int]:
+    """The side's node positions in ``_adjacency``: lo..hi-1."""
+    return (0, graph.n1) if side is Side.LEFT else (graph.n1, graph.n1 + graph.n2)
 
 
-def _bfs(A: sp.csr_matrix, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hop distances (-1 where unreachable) and shortest-path counts from the
-    sources lo..hi-1, one column per source.
+def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side) -> dict[str, float]:
+    """{label: value} for one side's nodes, ``values`` in ``_adjacency``'s order."""
+    lo, hi = _side_range(graph, side)
+    return dict(zip(graph.nodes(side), values[lo:hi].tolist()))
+
+
+def _bfs(A: sp.csr_matrix, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Level masks and shortest-path counts from the sources lo..hi-1, one
+    column per source: ``levels[l]`` marks the nodes at hop distance l.
 
     All sources advance one level per sparse product: the path counts of a
     level's nodes, summed over their neighbors, are the counts of the next
     level's nodes.
     """
     cols = np.arange(hi - lo)
-    dist = np.full((A.shape[0], hi - lo), -1, dtype=np.int64)
-    sigma = np.zeros(dist.shape)
-    dist[lo + cols, cols] = 0
+    sigma = np.zeros((A.shape[0], hi - lo))
     sigma[lo + cols, cols] = 1.0
+    levels = [sigma > 0]
     frontier = sigma
-    level = 0
-    while frontier.any():
+    while True:
         reach = A @ frontier
-        new = (reach > 0) & (dist < 0)
-        level += 1
-        dist[new] = level
-        sigma[new] = reach[new]
-        frontier = np.where(new, sigma, 0.0)
-    return dist, sigma
+        new = (reach > 0) & (sigma == 0)
+        if not new.any():
+            return levels, sigma
+        frontier = reach * new
+        sigma += frontier
+        levels.append(new)
 
 
-def _brandes(A: sp.csr_matrix) -> np.ndarray:
-    """Unweighted betweenness, endpoints excluded, each pair counted once.
+def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
+    """Per node of the symmetric CSR ``A``: the number of other nodes it
+    reaches and the sum of its hop distances to them; with ``betweenness``,
+    also its unweighted betweenness (endpoints excluded, each pair counted
+    once).
 
-    Brandes (2001) dependencies, accumulated level by level from the deepest:
-    a node at level l-1 collects sigma_v / sigma_w * (1 + delta_w) from each
-    neighbor w at level l.
+    One BFS per block of sources gives all three.  Betweenness sums Brandes
+    (2001) dependencies, accumulated level by level from the deepest: a node
+    at level l-1 collects sigma_v / sigma_w * (1 + delta_w) from each
+    neighbor w at level l.  Each source's dependencies are added in source
+    order, one source at a time, so no bit of the result depends on how the
+    sources were blocked.
     """
-    bc = np.zeros(A.shape[0])
-    for lo, hi in _source_blocks(A.shape[0]):
-        dist, sigma = _bfs(A, lo, hi)
-        delta = np.zeros(dist.shape)
-        for level in range(dist.max(), 1, -1):
-            share = np.divide(1.0 + delta, sigma, out=np.zeros(dist.shape), where=dist == level)
-            delta += (dist == level - 1) * sigma * (A @ share)
-        bc += delta.sum(axis=1)
-    return bc / 2.0
-
-
-def _closeness_values(A: sp.csr_matrix, numerators: np.ndarray, warn_label: str) -> np.ndarray:
-    """normalizer / distance-sum per node, with reachable-fraction scaling
-    when the graph is disconnected."""
     n = A.shape[0]
     reached = np.zeros(n, dtype=np.int64)
     total = np.zeros(n, dtype=np.int64)
-    for lo, hi in _source_blocks(n):
-        dist, _ = _bfs(A, lo, hi)
-        reached[lo:hi] = (dist > 0).sum(axis=0)
-        total[lo:hi] = np.maximum(dist, 0).sum(axis=0)
+    bc = np.zeros(n)
+    ones = np.ones(n)
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        levels, sigma = _bfs(A, lo, hi)
+        for level in range(1, len(levels)):
+            # a product counts a level's nodes several times faster than .sum(axis=0)
+            count = (ones @ levels[level]).astype(np.int64)
+            reached[lo:hi] += count
+            total[lo:hi] += level * count
+        if not betweenness:
+            continue
+        divisor = np.where(sigma > 0, sigma, 1.0)
+        delta = np.zeros(sigma.shape)
+        for level in range(len(levels) - 1, 1, -1):
+            share = (1.0 + delta) * levels[level] / divisor
+            delta += levels[level - 1] * sigma * (A @ share)
+        for column in delta.T:
+            bc += column
+    out = (reached, total, bc / 2.0)[: 2 + betweenness]
+    for values in out:
+        values.setflags(write=False)  # shared by every caller through the memo
+    return out
+
+
+def _swept(graph: BipartiteGraph, key, adjacency, betweenness: bool) -> tuple[np.ndarray, ...]:
+    """``_sweep(adjacency(), ...)``, memoised on ``graph`` under ``key``.
+
+    A caller without ``betweenness`` reads a full sweep if one is there, and
+    otherwise runs and keeps one without the dependency accumulation.
+    """
+    if betweenness or key in graph._memo:
+        return _memo(graph, key, lambda: _sweep(adjacency(), betweenness=True))
+    return _memo(graph, (key, "hops"), lambda: _sweep(adjacency(), betweenness=False))
+
+
+def _closeness_values(
+    reached: np.ndarray, total: np.ndarray, numerators: np.ndarray, warn_label: str
+) -> np.ndarray:
+    """normalizer / distance-sum per node, with reachable-fraction scaling
+    when the graph is disconnected."""
+    n = len(reached)
     if (reached < n - 1).any():
         warnings.warn(
             f"{warn_label}: graph is disconnected; closeness restricted to "
@@ -183,11 +250,11 @@ def bipartite_degree(graph: BipartiteGraph, side: Side) -> CentralityScores:
 
 def bipartite_closeness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Geodesic closeness with the two-mode normalizer n_other + 2(n_own - 1)."""
-    labels, A = _adjacency(graph)
+    reached, total = _swept(graph, "sweep", lambda: _adjacency(graph), False)[:2]
     n1, n2 = graph.n1, graph.n2
     numerators = np.repeat([float(n2 + 2 * (n1 - 1)), float(n1 + 2 * (n2 - 1))], [n1, n2])
-    values = _closeness_values(A, numerators, "bipartite_closeness")
-    return CentralityScores(side=side, metric="closeness2", scores=_on_side(labels, values, side))
+    values = _closeness_values(reached, total, numerators, "bipartite_closeness")
+    return CentralityScores(side=side, metric="closeness2", scores=_on_side(graph, values, side))
 
 
 def betweenness_ceiling(n_own: int, n_other: int) -> float:
@@ -202,12 +269,11 @@ def betweenness_ceiling(n_own: int, n_other: int) -> float:
 
 def bipartite_betweenness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Shortest-path betweenness divided by the side-specific ceiling."""
-    labels, A = _adjacency(graph)
-    raw = _brandes(A)
+    raw = _swept(graph, "sweep", lambda: _adjacency(graph), True)[2]
     n1, n2 = graph.n1, graph.n2
     bmax = betweenness_ceiling(n1, n2) if side is Side.LEFT else betweenness_ceiling(n2, n1)
     scores = {}
-    for x, b in _on_side(labels, raw, side).items():
+    for x, b in _on_side(graph, raw, side).items():
         v = b / bmax if bmax > 0 else 0.0
         if v > 1.0 + 1e-9 / max(bmax, 1.0):
             warnings.warn(f"betweenness of {x!r} exceeds its ceiling; clamping")
@@ -227,7 +293,7 @@ def eigenvector_centrality(
     while breaking the +/-lambda pairing that makes plain iteration on a
     bipartite adjacency matrix oscillate.
     """
-    labels, A = _adjacency(graph)
+    A = _adjacency(graph)
     n = A.shape[0]
     v = np.ones(n) / math.sqrt(n)
     residual = math.inf
@@ -243,7 +309,7 @@ def eigenvector_centrality(
             break
     else:
         raise ConvergenceError("eigenvector power iteration did not converge", residual)
-    sub = _on_side(labels, np.abs(v), side)
+    sub = _on_side(graph, np.abs(v), side)
     top = max(sub.values(), default=0.0) or 1.0
     return CentralityScores(
         side=side, metric="eigenvector", scores={x: val / top for x, val in sub.items()}
@@ -260,7 +326,7 @@ def pagerank(
     Each undirected link acts as two directed links; degree-0 nodes
     redistribute their mass uniformly.
     """
-    labels, A = _adjacency(graph)
+    A = _adjacency(graph)
     n = A.shape[0]
     if n == 0:
         raise ValueError("empty graph")
@@ -282,7 +348,7 @@ def pagerank(
         raise ConvergenceError("pagerank did not converge", err)
 
     def side_scores(s: Side) -> CentralityScores:
-        return CentralityScores(side=s, metric="pagerank", scores=_on_side(labels, r, s))
+        return CentralityScores(side=s, metric="pagerank", scores=_on_side(graph, r, s))
 
     if side is not None:
         return side_scores(side)
@@ -300,19 +366,40 @@ def latapy_pair_cc(graph: BipartiteGraph, u: str, v: str, side: Side | None = No
 def latapy_cc(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Mean neighborhood-Jaccard with the 2-hop same-side neighbors.
 
+    The overlap of u and v is c = (B Bᵀ)[u, v], the number of 2-hop walks
+    u - w - v, and Jaccard(u, v) = c / (d_u + d_v - c) (Latapy, Magnien &
+    Del Vecchio 2008).  The walks are listed for a run of nodes u at a time,
+    about _BLOCK_ELEMENTS of them per run, and counted with ``np.unique``.
     Nodes with no 2-hop neighbors score 0.
     """
-    scores = {}
-    for u in graph.nodes(side):
-        two_hop = set()
-        for mid in graph.neighbors(u, side):
-            two_hop.update(graph.neighbors(mid, side.other))
-        two_hop.discard(u)
-        if not two_hop:
-            scores[u] = 0.0
-        else:
-            scores[u] = sum(latapy_pair_cc(graph, u, v, side) for v in sorted(two_hop)) / len(two_hop)
-    return CentralityScores(side=side, metric="latapy", scores=scores)
+    indptr, indices = _links(graph)
+    lo, hi = _side_range(graph, side)
+    size = hi - lo
+    deg = np.diff(indptr)
+    # walks before each node u of the side, then all of them
+    walked = np.cumsum(np.concatenate(([0], deg[indices[indptr[lo] : indptr[hi]]])))
+    walked = walked[indptr[lo : hi + 1] - indptr[lo]]
+    cut = np.flatnonzero(np.diff(walked[:-1] // _BLOCK_ELEMENTS, prepend=-1))
+    cut = np.append(cut, size)
+    total = np.zeros(size)
+    count = np.zeros(size, dtype=np.int64)
+    for a, b in zip(cut[:-1].tolist(), cut[1:].tolist()):
+        mid = indices[indptr[lo + a] : indptr[lo + b]]  # w of each link u - w
+        span = deg[mid]
+        u = np.repeat(np.repeat(np.arange(b - a), deg[lo + a : lo + b]), span)
+        offset = np.repeat(indptr[mid] - (np.cumsum(span) - span), span)
+        v = indices[offset + np.arange(len(u))] - lo
+        key, c = np.unique(u * size + v, return_counts=True)
+        u, v = key // size, key % size
+        pair = u + a != v
+        u, v, c = u[pair], v[pair], c[pair]
+        jaccard = c / (deg[lo + a + u] + deg[lo + v] - c)
+        total[a:b] = np.bincount(u, weights=jaccard, minlength=b - a)
+        count[a:b] = np.bincount(u, minlength=b - a)
+    mean = np.divide(total, count, out=np.zeros(size), where=count > 0)
+    return CentralityScores(
+        side=side, metric="latapy", scores=dict(zip(graph.nodes(side), mean.tolist()))
+    )
 
 
 def opsahl_path_counts(graph: BipartiteGraph) -> tuple[int, int]:
@@ -367,16 +454,21 @@ def projected_centrality(
     """degree / closeness / betweenness on the one-mode projection."""
     proj = project(graph, side)
     nodes = proj.nodes
-    index = {x: i for i, x in enumerate(nodes)}
-    A = _csr([[index[v] for v in proj.neighbors(u)] for u in nodes])
     n = len(nodes)
+
+    def adjacency():
+        index = {x: i for i, x in enumerate(nodes)}
+        return _scipy_csr(*_csr([[index[v] for v in proj.neighbors(u)] for u in nodes]))
+
     if metric == "degree":
-        values = np.diff(A.indptr) / max(n - 1, 1)
+        values = np.array([proj.degree(u) for u in nodes], dtype=np.int64) / max(n - 1, 1)
     elif metric == "closeness":
-        values = _closeness_values(A, np.full(n, float(n - 1)), "projected closeness")
+        reached, total = _swept(graph, ("sweep", side), adjacency, False)[:2]
+        values = _closeness_values(reached, total, np.full(n, float(n - 1)), "projected closeness")
     elif metric == "betweenness":
         denom = (n - 1) * (n - 2) / 2.0
-        values = _brandes(A) / denom if denom > 0 else np.zeros(n)
+        raw = _swept(graph, ("sweep", side), adjacency, True)[2]
+        values = raw / denom if denom > 0 else np.zeros(n)
     else:
         raise ValueError(f"unknown projected metric {metric!r}")
     return CentralityScores(

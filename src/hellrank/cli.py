@@ -107,6 +107,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _damping(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < 1:  # also False for nan
+        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
+    return value
+
+
 def _add_common(
     p: argparse.ArgumentParser, needs_graph: bool = True, kernel: bool = False
 ) -> None:
@@ -141,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="hellrank", choices=METRICS + ["all"])
     p.add_argument("--normalize", choices=["none", "max"], default="none")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--damping", type=float, default=0.85)
+    p.add_argument("--damping", type=_damping, default=0.85)
 
     p = sub.add_parser("distances", help="pairwise distance matrix (CSV)")
     _add_common(p, kernel=True)
@@ -152,14 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--topk", type=_positive_int, default=5)
-    p.add_argument("--damping", type=float, default=0.85)
+    p.add_argument("--damping", type=_damping, default=0.85)
 
     p = sub.add_parser("sweep-k", help="top-k agreement series (CSV)")
     _add_common(p, kernel=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--kmax", type=_positive_int, default=None)
-    p.add_argument("--damping", type=float, default=0.85)
+    p.add_argument("--damping", type=_damping, default=0.85)
 
     p = sub.add_parser("threshold-graph", help="graph of node pairs closer than a cutoff")
     _add_common(p, kernel=True)
@@ -199,10 +209,12 @@ def _scores_command(args, out) -> None:
     names = PER_NODE_METRICS if args.metric == "all" else [args.metric]
     tables = {}
     for name in names:
-        t = compute_metric(graph, name, side, mode, args.damping, args.threads, args.weighted)
-        if args.normalize == "max":
-            t = normalize_scores(t)
-        tables[name] = t
+        # Betweenness runs before the closeness of the same graph: the sweep
+        # it leaves on the graph holds closeness's hop counts too.
+        for n in (name.replace("closeness", "betweenness"), name):
+            if n in names and n not in tables:
+                t = compute_metric(graph, n, side, mode, args.damping, args.threads, args.weighted)
+                tables[n] = normalize_scores(t) if args.normalize == "max" else t
     if args.metric != "all":
         table = tables[names[0]]
         table.to_csv(out) if args.format == "csv" else table.to_json(out)

@@ -109,6 +109,10 @@ class BipartiteGraph:
             Side.RIGHT: {v: tuple(sorted(ns)) for v, ns in adj_right.items()},
         }
         self._weights = wmap if weights is not None else None
+        # Structures derived from the links and built on first use (the
+        # baselines' adjacency and BFS sweeps). The links never change, so
+        # an entry never goes stale; it lives as long as the graph.
+        self._memo: dict = {}
 
     # -- basic accessors ---------------------------------------------------
 

@@ -86,6 +86,24 @@ def enumerate_4paths(graph: BipartiteGraph) -> tuple[int, int]:
     return paths // 2, closed // 2
 
 
+def brute_latapy_cc(graph: BipartiteGraph, side: Side) -> dict[str, float]:
+    """Mean Jaccard overlap of each node's neighborhood with those of its
+    2-hop same-side neighbors, from explicit sets; 0 without 2-hop neighbors."""
+    scores = {}
+    for u in graph.nodes(side):
+        nu = set(graph.neighbors(u, side))
+        two_hop = set()
+        for mid in nu:
+            two_hop.update(graph.neighbors(mid, side.other))
+        two_hop.discard(u)
+        overlaps = []
+        for v in sorted(two_hop):
+            nv = set(graph.neighbors(v, side))
+            overlaps.append(len(nu & nv) / len(nu | nv))
+        scores[u] = sum(overlaps) / len(overlaps) if overlaps else 0.0
+    return scores
+
+
 def brute_kendall_tau_a(x, y) -> float:
     n = len(x)
     concordant = discordant = 0

@@ -1,3 +1,6 @@
+import contextlib
+import io
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from hellrank import (
 )
 from hellrank import baselines
 from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
+from hellrank.cli import run
 
-from oracles import enumerate_4paths, random_bipartite
+from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite
+from test_imports import fresh_run
 
 
 def to_networkx(graph):
@@ -167,6 +172,16 @@ class TestClusteringCoefficients:
         g = BipartiteGraph([("a", "1")])
         assert latapy_cc(g, Side.LEFT)["a"] == 0.0
 
+    @pytest.mark.parametrize("budget", [1, baselines._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_latapy_matches_oracle(self, side, budget, monkeypatch):
+        # budget 1 counts the 2-hop walks of one node at a time
+        monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", budget)
+        for g in latapy_graphs():
+            mine = latapy_cc(g, side)
+            for x, want in brute_latapy_cc(g, side).items():
+                assert mine[x] == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_opsahl_fig1(self, fig1):
         assert opsahl_path_counts(fig1) == (19, 0)
         assert opsahl_cc(fig1) == 0.0
@@ -283,3 +298,166 @@ class TestDisconnectedAgainstNetworkx:
                 assert betweenness[x] == pytest.approx(
                     raw[v] / ((n - 1) * (n - 2) / 2), abs=1e-12
                 )
+
+
+def latapy_graphs():
+    """Seeded random graphs with isolated nodes, labels shared by both sides,
+    first-seen label order unlike sorted order, and a linked node without
+    2-hop neighbors."""
+    rng = np.random.default_rng(77)
+    for n1, n2, p in ((12, 9, 0.2), (20, 30, 0.08), (40, 25, 0.1)):
+        names = [str(k) for k in rng.permutation(2 * (n1 + n2))]  # "10" sorts before "9"
+        left, right = names[:n1], names[n1 // 2 : n1 // 2 + n2]
+        adj = rng.random((n1, n2)) < p
+        edges = [(left[i], right[j]) for i, j in zip(*np.nonzero(adj))] + [("lone", "solo")]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        g = BipartiteGraph(edges, isolated_left=["iso"], isolated_right=["iso"])
+        assert set(g.left_nodes) & set(g.right_nodes) - {"iso"}
+        assert list(g.left_nodes) != sorted(g.left_nodes)
+        assert list(g.right_nodes) != sorted(g.right_nodes)
+        yield g
+
+
+def giant_and_small_components(seed: int) -> list[tuple[str, str]]:
+    """Edges of a random giant component plus 30 small paths and stars, in
+    shuffled order, so that components are not contiguous in node order."""
+    rng = np.random.default_rng(seed)
+    adj = rng.random((40, 30)) < 0.12
+    edges = [(f"a{i}", f"p{j}") for i, j in zip(*np.nonzero(adj))]
+    for k in range(30):
+        authors = [f"s{k}.{i}" for i in range(1 + k % 4)]
+        papers = [f"q{k}.{i}" for i in range(1 + k % 3)]
+        edges += [(authors[i % len(authors)], papers[i % len(papers)])
+                  for i in range(len(authors) + len(papers) - 1)]
+    return [edges[k] for k in rng.permutation(len(edges))]
+
+
+def sweep_values(graph: BipartiteGraph, side: Side, order: tuple[str, ...]) -> list[np.ndarray]:
+    """Every sweep-based score of one side, the metrics computed in ``order``."""
+    compute = {
+        "closeness2": lambda: bipartite_closeness(graph, side),
+        "betweenness2": lambda: bipartite_betweenness(graph, side),
+        "closeness1": lambda: projected_centrality(graph, side, "closeness"),
+        "betweenness1": lambda: projected_centrality(graph, side, "betweenness"),
+    }
+    with pytest.warns(DisconnectedGraphWarning):
+        tables = {name: compute[name]() for name in order}
+    return [np.array([tables[name][x] for x in graph.nodes(side)]) for name in sorted(tables)]
+
+
+class TestSweepMemo:
+    @pytest.mark.filterwarnings("ignore::hellrank.baselines.DisconnectedGraphWarning")
+    def test_graphs_with_the_same_labels_keep_their_own_values(self):
+        # the same nodes in the same order, different links, scored in turn
+        rng = np.random.default_rng(5)
+        spine = [(f"L{i}", f"R{i % 10}") for i in range(12)]
+        graphs = [
+            BipartiteGraph(spine + [(f"L{i}", f"R{j}") for i, j in zip(*np.nonzero(adj))])
+            for adj in rng.random((2, 12, 10)) < 0.08
+        ]
+        assert graphs[0].left_nodes == graphs[1].left_nodes
+        assert graphs[0].right_nodes == graphs[1].right_nodes
+        assert graphs[0] != graphs[1]
+        for g in graphs + graphs:
+            G, left = to_networkx(g)
+            P = nxb.projected_graph(G, left)
+            raw = nx.betweenness_centrality(G, normalized=False)
+            ceiling = betweenness_ceiling(g.n1, g.n2)
+            closeness = bipartite_closeness(g, Side.LEFT)
+            betweenness = bipartite_betweenness(g, Side.LEFT)
+            projected = projected_centrality(g, Side.LEFT, "closeness")
+            for x in left:
+                assert closeness[x] == pytest.approx(
+                    reachable_closeness(G, x, g.n2 + 2 * (g.n1 - 1)), abs=1e-12
+                )
+                assert betweenness[x] == pytest.approx(raw[x] / ceiling, abs=1e-12)
+                assert projected[x] == pytest.approx(reachable_closeness(P, x, len(P) - 1), abs=1e-12)
+            assert latapy_cc(g, Side.LEFT).scores == pytest.approx(
+                brute_latapy_cc(g, Side.LEFT), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_call_order_does_not_change_bits(self, side):
+        edges = giant_and_small_components(3)
+        forward = sweep_values(BipartiteGraph(edges), side,
+                               ("closeness2", "betweenness2", "closeness1", "betweenness1"))
+        backward = sweep_values(BipartiteGraph(edges), side,
+                                ("betweenness1", "closeness1", "betweenness2", "closeness2"))
+        for a, b in zip(forward, backward):
+            assert np.array_equal(a, b)
+
+    def test_every_closeness_call_warns(self):
+        g = BipartiteGraph(giant_and_small_components(4))
+        for _ in range(2):
+            for call in (
+                lambda: bipartite_closeness(g, Side.LEFT),
+                lambda: bipartite_closeness(g, Side.RIGHT),
+                lambda: projected_centrality(g, Side.LEFT, "closeness"),
+            ):
+                with pytest.warns(DisconnectedGraphWarning):
+                    call()
+
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_block_budget_does_not_change_bits(self, side, monkeypatch):
+        edges = giant_and_small_components(6)
+        results = []
+        for budget in (1, 100, baselines._BLOCK_ELEMENTS):
+            monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", budget)
+            order = ("closeness2", "betweenness2", "closeness1", "betweenness1")
+            results.append(sweep_values(BipartiteGraph(edges), side, order))
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_cli_bytes_do_not_depend_on_block_budget(self, side, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "edges.tsv"
+        path.write_text("".join(f"{u}\t{v}\n" for u, v in giant_and_small_components(8)))
+        argv = ["scores", "--input", str(path), "--metric", "all", "--side", side]
+        outputs = []
+        for budget in (1, 8192):
+            monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", budget)
+            with pytest.warns(DisconnectedGraphWarning):
+                assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "metric, sweeps",
+        [("all", [True, True]), ("closeness2", [False]), ("closeness1", [False])],
+    )
+    def test_scores_sweeps_each_graph_once(self, metric, sweeps, tmp_path, monkeypatch):
+        # `all` runs betweenness first, so closeness reads its sweep; closeness
+        # alone runs the sweep without the dependency accumulation
+        path = tmp_path / "edges.tsv"
+        path.write_text("".join(f"{u}\t{v}\n" for u, v in giant_and_small_components(9)))
+        calls = []
+        sweep = baselines._sweep
+
+        def counted(A, betweenness):
+            calls.append(betweenness)
+            return sweep(A, betweenness)
+
+        monkeypatch.setattr(baselines, "_sweep", counted)
+        with pytest.warns(DisconnectedGraphWarning), contextlib.redirect_stdout(io.StringIO()):
+            assert run(["scores", "--input", str(path), "--metric", metric]) == 0
+        assert calls == sweeps
+
+    def test_memoised_arrays_are_read_only(self):
+        g = BipartiteGraph(giant_and_small_components(10))
+        A = baselines._adjacency(g)
+        arrays = [*baselines._links(g), A.data, A.indices, A.indptr]
+        with pytest.warns(DisconnectedGraphWarning):
+            bipartite_closeness(g, Side.LEFT)
+        bipartite_betweenness(g, Side.LEFT)
+        arrays += [a for key, entry in g._memo.items() if "sweep" in key for a in entry]
+        assert len(arrays) == 2 + 3 + 2 + 3
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
+def test_latapy_loads_no_scipy():
+    result = fresh_run(["scores", "--dataset", "davis", "--metric", "latapy"])
+    assert result["status"] == 0
+    assert result["scipy"] == []

@@ -317,6 +317,27 @@ class TestErrorsAndDeterminism:
         assert err.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damping", ["5", "0", "1", "-0.1", "nan", "inf", "high"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scores", "--dataset", "davis", "--metric", "degree2"],
+            ["scores", "--dataset", "davis", "--metric", "pagerank"],
+            ["correlate", "--dataset", "davis", "--metric-b", "pagerank"],
+            ["sweep-k", "--dataset", "davis", "--metric-b", "pagerank"],
+        ],
+    )
+    def test_damping_outside_unit_interval_usage_error(self, capsys, argv, damping):
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--damping", damping])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--damping" in captured.err
+
+    def test_damping_reaches_pagerank(self, capsys):
+        argv = ["scores", "--dataset", "davis", "--metric", "pagerank"]
+        assert run_ok(capsys, argv + ["--damping", "0.5"]) != run_ok(capsys, argv)
+
     @pytest.mark.parametrize(
         "argv",
         [
