@@ -81,16 +81,25 @@ def _memo(graph: BipartiteGraph, key, build):
     return graph._memo[key]
 
 
-def _csr(lists) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the square 0/1 matrix whose row i holds the
-    column indices ``lists[i]``."""
-    indptr = np.cumsum([0] + [len(a) for a in lists])
-    indices = np.fromiter((j for a in lists for j in a), dtype=np.int64, count=indptr[-1])
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every caller through the memo
+    return a
+
+
+def _csr(lists, index: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the 0/1 matrix whose row i holds the column
+    ``index[label]`` of each label of ``lists[i]``, in that order."""
+    from itertools import chain
+
+    indptr = np.cumsum([0, *map(len, lists)])
+    indices = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(lists)), dtype=np.int64, count=indptr[-1]
+    )
     return indptr, indices
 
 
 def _scipy_csr(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    # imported here, so that the Hellinger kernel's commands never load scipy
+    # imported here, so that only the BFS sweep's commands load scipy
     import scipy.sparse as sp
 
     n = len(indptr) - 1
@@ -99,42 +108,54 @@ def _scipy_csr(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
 
 def _links(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the symmetric adjacency of both sides: the left
-    nodes, then the right."""
+    nodes, then the right.  A row lists its neighbors in the order
+    ``graph.neighbors`` gives them, which fixes the order of every sum over
+    a row."""
 
     def build():
-        labels = [(Side.LEFT, x) for x in graph.left_nodes] + [
-            (Side.RIGHT, y) for y in graph.right_nodes
-        ]
-        index = {key: i for i, key in enumerate(labels)}
-        arrays = _csr(
-            [[index[(side.other, nb)] for nb in graph.neighbors(x, side)] for side, x in labels]
-        )
-        for a in arrays:
-            a.flags.writeable = False  # shared by every caller through the memo
-        return arrays
+        left = {x: i for i, x in enumerate(graph.left_nodes)}
+        right = {y: i for i, y in enumerate(graph.right_nodes, start=graph.n1)}
+        ip1, ix1 = _csr([graph.neighbors(x, Side.LEFT) for x in graph.left_nodes], right)
+        ip2, ix2 = _csr([graph.neighbors(y, Side.RIGHT) for y in graph.right_nodes], left)
+        indptr = np.concatenate((ip1, ip2[1:] + ip1[-1]))
+        return _frozen(indptr), _frozen(np.concatenate((ix1, ix2)))
 
     return _memo(graph, "links", build)
 
 
+def _product(graph: BipartiteGraph):
+    """``x -> A @ x`` for the 0/1 adjacency A of ``_links``, without scipy.
+
+    ``np.bincount`` adds each row's terms one at a time in CSR order,
+    starting from 0.0, as scipy's ``csr_matvec`` does, so every float equals
+    scipy's.  ``np.add.reduceat`` would not: it sums a row of 8 or more terms
+    pairwise.
+    """
+    indptr, indices = _links(graph)
+    n = len(indptr) - 1
+    rows = _memo(graph, "rows", lambda: _frozen(np.repeat(np.arange(n), np.diff(indptr))))
+    return lambda x: np.bincount(rows, weights=x[indices], minlength=n)
+
+
 def _adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
-    """``_links`` as a scipy CSR matrix."""
+    """``_links`` as a scipy CSR matrix, for the BFS sweep's block products."""
 
     def build():
         A = _scipy_csr(*_links(graph))
         for a in (A.data, A.indices, A.indptr):
-            a.flags.writeable = False  # shared by every caller through the memo
+            _frozen(a)
         return A
 
     return _memo(graph, "adjacency", build)
 
 
 def _side_range(graph: BipartiteGraph, side: Side) -> tuple[int, int]:
-    """The side's node positions in ``_adjacency``: lo..hi-1."""
+    """The side's node positions in ``_links``: lo..hi-1."""
     return (0, graph.n1) if side is Side.LEFT else (graph.n1, graph.n1 + graph.n2)
 
 
 def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side) -> dict[str, float]:
-    """{label: value} for one side's nodes, ``values`` in ``_adjacency``'s order."""
+    """{label: value} for one side's nodes, ``values`` in ``_links``'s order."""
     lo, hi = _side_range(graph, side)
     return dict(zip(graph.nodes(side), values[lo:hi].tolist()))
 
@@ -200,7 +221,7 @@ def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
             bc += column
     out = (reached, total, bc / 2.0)[: 2 + betweenness]
     for values in out:
-        values.setflags(write=False)  # shared by every caller through the memo
+        _frozen(values)
     return out
 
 
@@ -293,12 +314,12 @@ def eigenvector_centrality(
     while breaking the +/-lambda pairing that makes plain iteration on a
     bipartite adjacency matrix oscillate.
     """
-    A = _adjacency(graph)
-    n = A.shape[0]
+    product = _product(graph)
+    n = graph.n1 + graph.n2
     v = np.ones(n) / math.sqrt(n)
     residual = math.inf
     for _ in range(max_iterations):
-        w = A @ v + v
+        w = product(v) + v
         norm = np.linalg.norm(w)
         if norm == 0:
             break
@@ -326,17 +347,17 @@ def pagerank(
     Each undirected link acts as two directed links; degree-0 nodes
     redistribute their mass uniformly.
     """
-    A = _adjacency(graph)
-    n = A.shape[0]
+    n = graph.n1 + graph.n2
     if n == 0:
         raise ValueError("empty graph")
-    deg = np.asarray(A.sum(axis=0)).ravel()
+    product = _product(graph)
+    deg = np.diff(_links(graph)[0])
     dangling = deg == 0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     d = config.damping
     r = np.ones(n) / n
     for _ in range(config.max_iterations):
-        walked = A @ (r * inv) + r[dangling].sum() / n
+        walked = product(r * inv) + r[dangling].sum() / n
         if config.lazy:
             walked = 0.5 * (walked + r)
         nxt = (1.0 - d) / n + d * walked
@@ -458,7 +479,7 @@ def projected_centrality(
 
     def adjacency():
         index = {x: i for i, x in enumerate(nodes)}
-        return _scipy_csr(*_csr([[index[v] for v in proj.neighbors(u)] for u in nodes]))
+        return _scipy_csr(*_csr([proj.neighbors(u) for u in nodes], index))
 
     if metric == "degree":
         values = np.array([proj.degree(u) for u in nodes], dtype=np.int64) / max(n - 1, 1)

@@ -97,14 +97,23 @@ def _output(args):
         yield sys.stdout
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an int >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _damping(text: str) -> float:
@@ -178,13 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("null-model", help="random-graph distance statistics (JSON)")
     _add_common(p, needs_graph=False)
-    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo random seed")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="Monte-Carlo random seed")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sigmas", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=0, help="Monte-Carlo cross-check sample count")
+    p.add_argument(
+        "--samples", type=_non_negative_int, default=0,
+        help="Monte-Carlo cross-check sample count (0: none)",
+    )
     p.add_argument("--method", choices=["empirical", "model"], default="empirical")
 
     p = sub.add_parser("project", help="one-mode projection edge list")
@@ -196,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _scores_command(args, out) -> None:
     graph = _load_graph(args)
-    side = Side(args.side)
-    mode = DistanceMode(args.mode)
     if args.metric == "opsahl":
         value = baselines.opsahl_cc(graph)
         if args.format == "json":
@@ -207,19 +217,14 @@ def _scores_command(args, out) -> None:
             out.write(f"metric,value\nopsahl,{next(_fixed6_rows([[value]]))}\n")
         return
     names = PER_NODE_METRICS if args.metric == "all" else [args.metric]
-    tables = {}
-    for name in names:
-        # Betweenness runs before the closeness of the same graph: the sweep
-        # it leaves on the graph holds closeness's hop counts too.
-        for n in (name.replace("closeness", "betweenness"), name):
-            if n in names and n not in tables:
-                t = compute_metric(graph, n, side, mode, args.damping, args.threads, args.weighted)
-                tables[n] = normalize_scores(t) if args.normalize == "max" else t
+    tables = _tables(args, graph, names)
+    if args.normalize == "max":
+        tables = {n: normalize_scores(t) for n, t in tables.items()}
     if args.metric != "all":
         table = tables[names[0]]
         table.to_csv(out) if args.format == "csv" else table.to_json(out)
         return
-    labels = sorted(graph.nodes(side))
+    labels = sorted(graph.nodes(Side(args.side)))
     if args.format == "json":
         json.dump(
             {x: {name: tables[name][x] for name in names} for x in labels}, out, indent=2
@@ -232,12 +237,27 @@ def _scores_command(args, out) -> None:
             out.write(csv_field(x) + "," + row + "\n")
 
 
-def _pair_tables(args, graph):
+def _tables(args, graph: BipartiteGraph, names: list[str]) -> dict[str, CentralityScores]:
+    """{name: scores} of each metric in ``names``.
+
+    Betweenness runs before the closeness of the same graph: the sweep it
+    leaves on the graph holds closeness's hop counts too.
+    """
     side = Side(args.side)
     mode = DistanceMode(args.mode)
-    a = compute_metric(graph, args.metric_a, side, mode, args.damping, args.threads, args.weighted)
-    b = compute_metric(graph, args.metric_b, side, mode, args.damping, args.threads, args.weighted)
-    return a, b
+    tables = {}
+    for name in names:
+        for n in (name.replace("closeness", "betweenness"), name):
+            if n in names and n not in tables:
+                tables[n] = compute_metric(
+                    graph, n, side, mode, args.damping, args.threads, args.weighted
+                )
+    return tables
+
+
+def _pair_tables(args, graph):
+    tables = _tables(args, graph, [args.metric_a, args.metric_b])
+    return tables[args.metric_a], tables[args.metric_b]
 
 
 def run(argv: list[str] | None = None) -> int:

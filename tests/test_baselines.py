@@ -21,9 +21,10 @@ from hellrank import (
     pagerank,
     projected_centrality,
 )
-from hellrank import baselines
+from hellrank import baselines, cli
 from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
 from hellrank.cli import run
+from hellrank.hellinger import DistanceMode
 
 from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite
 from test_imports import fresh_run
@@ -154,6 +155,100 @@ class TestEigenvector:
         ev = eigenvector_centrality(fig1, Side.LEFT)
         assert max(ev.scores.values()) == pytest.approx(1.0)
         assert ev.ranked()[0][0] == "D"
+
+
+def hub_graphs():
+    """Seeded random graphs with isolated nodes, labels shared by both sides
+    and hubs of degree 8 or more, whose rows a pairwise sum would add in
+    another order."""
+    rng = np.random.default_rng(31)
+    for n1, n2, p in ((15, 12, 0.15), (40, 30, 0.06), (60, 90, 0.03)):
+        names = [str(k) for k in rng.permutation(2 * (n1 + n2))]
+        left, right = names[:n1], names[n1 // 2 : n1 // 2 + n2]
+        adj = rng.random((n1, n2)) < p
+        adj[0, : max(9, n2 // 2)] = True
+        adj[: max(8, n1 // 3), -1] = True
+        edges = [(left[i], right[j]) for i, j in zip(*np.nonzero(adj))]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        g = BipartiteGraph(edges, isolated_left=["iso"], isolated_right=["iso"])
+        assert set(g.left_nodes) & set(g.right_nodes) - {"iso"}
+        assert max(len(g.neighbors(x, Side.LEFT)) for x in g.left_nodes) >= 8
+        assert max(len(g.neighbors(y, Side.RIGHT)) for y in g.right_nodes) >= 8
+        yield g
+
+
+def scipy_adjacency(graph):
+    import scipy.sparse as sp
+
+    indptr, indices = baselines._links(graph)
+    n = len(indptr) - 1
+    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+
+def scipy_pagerank(A, config):
+    """The module's PageRank iteration with scipy's CSR product."""
+    n = A.shape[0]
+    deg = np.asarray(A.sum(axis=0)).ravel()
+    dangling = deg == 0
+    inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
+    r = np.ones(n) / n
+    for _ in range(config.max_iterations):
+        walked = A @ (r * inv) + r[dangling].sum() / n
+        if config.lazy:
+            walked = 0.5 * (walked + r)
+        nxt = (1.0 - config.damping) / n + config.damping * walked
+        err = float(np.abs(nxt - r).sum())
+        r = nxt
+        if err < config.tolerance:
+            return r
+
+
+def scipy_eigenvector(A, tolerance=1e-10):
+    """The module's power iteration on A + I with scipy's CSR product."""
+    v = np.ones(A.shape[0]) / np.sqrt(A.shape[0])
+    while True:
+        w = A @ v + v
+        w /= np.linalg.norm(w)
+        done = float(np.abs(w - v).max()) < tolerance
+        v = w
+        if done:
+            return np.abs(v)
+
+
+def side_values(graph, side, scores):
+    return np.array([scores[x] for x in graph.nodes(side)])
+
+
+class TestProductMatchesScipy:
+    """PageRank and eigenvector multiply by the adjacency without scipy; every
+    float must equal what scipy's CSR product gives."""
+
+    def test_product(self):
+        rng = np.random.default_rng(8)
+        for g in hub_graphs():
+            A = scipy_adjacency(g)
+            n = A.shape[0]
+            product = baselines._product(g)
+            for x in (rng.random(n), rng.standard_normal(n) * 1e3 ** rng.random(n)):
+                assert np.array_equal(product(x), A @ x)
+
+    @pytest.mark.parametrize(
+        "config", [PageRankConfig(), PageRankConfig(damping=0.5, lazy=True, tolerance=1e-14)]
+    )
+    def test_pagerank(self, config):
+        for g in hub_graphs():
+            r = scipy_pagerank(scipy_adjacency(g), config)
+            both = pagerank(g, config)
+            mine = np.concatenate([side_values(g, s, both[s]) for s in (Side.LEFT, Side.RIGHT)])
+            assert np.array_equal(mine, r)
+
+    def test_eigenvector(self):
+        for g in hub_graphs():
+            v = scipy_eigenvector(scipy_adjacency(g))
+            for side in (Side.LEFT, Side.RIGHT):
+                lo, hi = baselines._side_range(g, side)
+                ref = v[lo:hi] / (v[lo:hi].max() or 1.0)
+                assert np.array_equal(side_values(g, side, eigenvector_centrality(g, side)), ref)
 
 
 class TestClusteringCoefficients:
@@ -443,15 +538,51 @@ class TestSweepMemo:
             assert run(["scores", "--input", str(path), "--metric", metric]) == 0
         assert calls == sweeps
 
+    @pytest.mark.parametrize("command", ["correlate", "sweep-k"])
+    @pytest.mark.parametrize(
+        "first, second", [("closeness2", "betweenness2"), ("closeness1", "betweenness1")]
+    )
+    def test_pair_commands_sweep_each_graph_once(self, command, first, second, tmp_path,
+                                                 monkeypatch, capsys):
+        # closeness asked for first still reads the sweep betweenness leaves,
+        # and the bytes equal those of computing the pair in the order given
+        path = tmp_path / "edges.tsv"
+        path.write_text("".join(f"{u}\t{v}\n" for u, v in giant_and_small_components(11)))
+        argv = [command, "--input", str(path), "--metric-a", first, "--metric-b", second]
+        calls = []
+        sweep = baselines._sweep
+
+        def counted(A, betweenness):
+            calls.append(betweenness)
+            return sweep(A, betweenness)
+
+        def in_given_order(args, graph, names):
+            return {n: cli.compute_metric(graph, n, Side(args.side), DistanceMode(args.mode),
+                                          args.damping, args.threads, args.weighted)
+                    for n in names}
+
+        monkeypatch.setattr(baselines, "_sweep", counted)
+        outputs, sweeps = [], []
+        for tables in (cli._tables, in_given_order):
+            monkeypatch.setattr(cli, "_tables", tables)
+            calls.clear()
+            with pytest.warns(DisconnectedGraphWarning):
+                assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+            sweeps.append(calls[:])
+        assert sweeps == [[True], [False, True]]
+        assert outputs[0] == outputs[1]
+
     def test_memoised_arrays_are_read_only(self):
         g = BipartiteGraph(giant_and_small_components(10))
         A = baselines._adjacency(g)
-        arrays = [*baselines._links(g), A.data, A.indices, A.indptr]
+        pagerank(g)
+        arrays = [*baselines._links(g), A.data, A.indices, A.indptr, g._memo["rows"]]
         with pytest.warns(DisconnectedGraphWarning):
             bipartite_closeness(g, Side.LEFT)
         bipartite_betweenness(g, Side.LEFT)
         arrays += [a for key, entry in g._memo.items() if "sweep" in key for a in entry]
-        assert len(arrays) == 2 + 3 + 2 + 3
+        assert len(arrays) == 2 + 3 + 1 + 2 + 3
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 1

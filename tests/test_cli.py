@@ -232,13 +232,12 @@ class TestThresholdGraph:
 
 class TestNullModel:
     def test_closed_form_payload(self, capsys):
-        out = run_ok(
-            capsys,
-            ["null-model", "--n1", "50", "--n2", "2000", "--p", "0.005", "--k", "10"],
-        )
-        data = json.loads(out)
+        argv = ["null-model", "--n1", "50", "--n2", "2000", "--p", "0.005", "--k", "10"]
+        data = json.loads(run_ok(capsys, argv))
         assert set(data) == {"mean", "second_moment", "variance", "threshold", "sigmas"}
         assert data["threshold"] == pytest.approx(data["mean"] - data["variance"] ** 0.5)
+        # zero samples skip the Monte Carlo
+        assert json.loads(run_ok(capsys, argv + ["--samples", "0", "--seed", "0"])) == data
 
     def test_with_monte_carlo(self, capsys):
         argv = [
@@ -260,6 +259,15 @@ class TestNullModel:
         assert run(argv + ["--sigmas", sigmas]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "sigmas" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "-5")])
+    def test_negative_seed_or_samples_usage_error(self, capsys, flag, value):
+        argv = ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5", "--samples", "3"]
+        with pytest.raises(SystemExit) as err:
+            run(argv + [flag, value])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}: must be >= 0" in captured.err
 
 
 class TestProject:

@@ -2,7 +2,8 @@
 
 Importing scipy.sparse and scipy.special costs about 0.3-0.4 s, most of a
 small `scores` run, so the distance kernel's commands must load none of
-scipy; the baselines and the null model's closed form import it on use.
+scipy, nor must PageRank and eigenvector; the BFS sweep of closeness and
+betweenness and the null model's closed form import it on use.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from hellrank.cli import run
 
 SRC = Path(hellrank.__file__).resolve().parents[1]
 
+CORRELATE = ["correlate", "--dataset", "davis", "--metric-a", "degree2", "--metric-b", "pagerank"]
 NULL_MODEL = ["null-model", "--n1", "6", "--n2", "40", "--p", "0.15", "--k", "6", "--samples", "100"]
 
 
@@ -63,6 +65,27 @@ def test_kernel_commands_load_no_scipy(argv):
     assert result["scipy"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scores", "--dataset", "davis", "--metric", "pagerank"],
+        ["scores", "--dataset", "davis", "--metric", "eigenvector"],
+        CORRELATE,
+    ],
+)
+def test_pagerank_and_eigenvector_load_no_scipy(argv):
+    result = fresh_run(argv)
+    assert result["status"] == 0
+    assert result["scipy"] == []
+
+
+def test_all_metrics_load_sparse_but_not_linalg():
+    result = fresh_run(["scores", "--dataset", "davis", "--metric", "all"])
+    assert result["status"] == 0
+    assert "scipy.sparse" in result["scipy"]
+    assert not [m for m in result["scipy"] if m.startswith("scipy.linalg")]
+
+
 def test_null_model_loads_special_but_not_sparse():
     result = fresh_run(NULL_MODEL)
     assert result["status"] == 0
@@ -70,7 +93,9 @@ def test_null_model_loads_special_but_not_sparse():
     assert not [m for m in result["scipy"] if m.startswith("scipy.sparse")]
 
 
-@pytest.mark.parametrize("argv", [["scores", "--dataset", "davis", "--metric", "all"], NULL_MODEL])
+@pytest.mark.parametrize(
+    "argv", [["scores", "--dataset", "davis", "--metric", "all"], CORRELATE, NULL_MODEL]
+)
 def test_lazy_imports_resolve(argv):
     # a fresh interpreter imports scipy on use and prints what this one,
     # which has loaded scipy already, prints
