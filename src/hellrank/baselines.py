@@ -11,7 +11,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graph import BipartiteGraph, Side, UnipartiteGraph, project
+from . import graph as graph_module
+from .graph import BipartiteGraph, Side, _co_occurrences, _frozen, _side_range, project
 from .scores import CentralityScores
 
 if TYPE_CHECKING:
@@ -62,14 +63,6 @@ class PageRankConfig:
 
 # -- adjacency and breadth-first search --------------------------------------
 
-# Elements per dense (nodes x sources) array of one BFS block; the block's
-# source count follows from the node count.  Kept small: on a 1,300-node
-# graph, 8x the budget raised the peak RSS of `scores --metric all` by about
-# 4.5 MB (7%) and ran no faster.  Also the number of 2-hop walks
-# `latapy_cc` counts at a time.
-_BLOCK_ELEMENTS = 8192
-
-
 def _memo(graph: BipartiteGraph, key, build):
     """``build()``, computed once per graph and kept on it under ``key``.
 
@@ -81,23 +74,6 @@ def _memo(graph: BipartiteGraph, key, build):
     return graph._memo[key]
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # shared by every caller through the memo
-    return a
-
-
-def _csr(lists, index: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the 0/1 matrix whose row i holds the column
-    ``index[label]`` of each label of ``lists[i]``, in that order."""
-    from itertools import chain
-
-    indptr = np.cumsum([0, *map(len, lists)])
-    indices = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(lists)), dtype=np.int64, count=indptr[-1]
-    )
-    return indptr, indices
-
-
 def _scipy_csr(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     # imported here, so that only the BFS sweep's commands load scipy
     import scipy.sparse as sp
@@ -106,42 +82,24 @@ def _scipy_csr(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
 
-def _links(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the symmetric adjacency of both sides: the left
-    nodes, then the right.  A row lists its neighbors in the order
-    ``graph.neighbors`` gives them, which fixes the order of every sum over
-    a row."""
-
-    def build():
-        left = {x: i for i, x in enumerate(graph.left_nodes)}
-        right = {y: i for i, y in enumerate(graph.right_nodes, start=graph.n1)}
-        ip1, ix1 = _csr([graph.neighbors(x, Side.LEFT) for x in graph.left_nodes], right)
-        ip2, ix2 = _csr([graph.neighbors(y, Side.RIGHT) for y in graph.right_nodes], left)
-        indptr = np.concatenate((ip1, ip2[1:] + ip1[-1]))
-        return _frozen(indptr), _frozen(np.concatenate((ix1, ix2)))
-
-    return _memo(graph, "links", build)
-
-
 def _product(graph: BipartiteGraph):
-    """``x -> A @ x`` for the 0/1 adjacency A of ``_links``, without scipy.
+    """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy.
 
     ``np.bincount`` adds each row's terms one at a time in CSR order,
     starting from 0.0, as scipy's ``csr_matvec`` does, so every float equals
     scipy's.  ``np.add.reduceat`` would not: it sums a row of 8 or more terms
     pairwise.
     """
-    indptr, indices = _links(graph)
-    n = len(indptr) - 1
-    rows = _memo(graph, "rows", lambda: _frozen(np.repeat(np.arange(n), np.diff(indptr))))
+    indices, n = graph._indices, len(graph._degree)
+    rows = _memo(graph, "rows", lambda: _frozen(np.repeat(np.arange(n), graph._degree)))
     return lambda x: np.bincount(rows, weights=x[indices], minlength=n)
 
 
 def _adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
-    """``_links`` as a scipy CSR matrix, for the BFS sweep's block products."""
+    """The graph's CSR as a scipy matrix, for the BFS sweep's block products."""
 
     def build():
-        A = _scipy_csr(*_links(graph))
+        A = _scipy_csr(graph._indptr, graph._indices)
         for a in (A.data, A.indices, A.indptr):
             _frozen(a)
         return A
@@ -149,13 +107,8 @@ def _adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
     return _memo(graph, "adjacency", build)
 
 
-def _side_range(graph: BipartiteGraph, side: Side) -> tuple[int, int]:
-    """The side's node positions in ``_links``: lo..hi-1."""
-    return (0, graph.n1) if side is Side.LEFT else (graph.n1, graph.n1 + graph.n2)
-
-
 def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side) -> dict[str, float]:
-    """{label: value} for one side's nodes, ``values`` in ``_links``'s order."""
+    """{label: value} for one side's nodes, ``values`` in the CSR's row order."""
     lo, hi = _side_range(graph, side)
     return dict(zip(graph.nodes(side), values[lo:hi].tolist()))
 
@@ -201,7 +154,7 @@ def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
     total = np.zeros(n, dtype=np.int64)
     bc = np.zeros(n)
     ones = np.ones(n)
-    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    step = max(1, graph_module._BLOCK_ELEMENTS // max(n, 1))  # the budget _co_occurrences reads
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         levels, sigma = _bfs(A, lo, hi)
@@ -262,11 +215,8 @@ def bipartite_degree(graph: BipartiteGraph, side: Side) -> CentralityScores:
     other = graph.n2 if side is Side.LEFT else graph.n1
     if other == 0:
         raise ValueError("opposite side is empty")
-    return CentralityScores(
-        side=side,
-        metric="degree2",
-        scores={x: graph.degree(x, side) / other for x in graph.nodes(side)},
-    )
+    scores = _on_side(graph, graph._degree / other, side)
+    return CentralityScores(side=side, metric="degree2", scores=scores)
 
 
 def bipartite_closeness(graph: BipartiteGraph, side: Side) -> CentralityScores:
@@ -351,7 +301,7 @@ def pagerank(
     if n == 0:
         raise ValueError("empty graph")
     product = _product(graph)
-    deg = np.diff(_links(graph)[0])
+    deg = graph._degree
     dangling = deg == 0
     inv = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     d = config.damping
@@ -389,31 +339,14 @@ def latapy_cc(graph: BipartiteGraph, side: Side) -> CentralityScores:
 
     The overlap of u and v is c = (B Bᵀ)[u, v], the number of 2-hop walks
     u - w - v, and Jaccard(u, v) = c / (d_u + d_v - c) (Latapy, Magnien &
-    Del Vecchio 2008).  The walks are listed for a run of nodes u at a time,
-    about _BLOCK_ELEMENTS of them per run, and counted with ``np.unique``.
-    Nodes with no 2-hop neighbors score 0.
+    Del Vecchio 2008).  Nodes with no 2-hop neighbors score 0.
     """
-    indptr, indices = _links(graph)
     lo, hi = _side_range(graph, side)
     size = hi - lo
-    deg = np.diff(indptr)
-    # walks before each node u of the side, then all of them
-    walked = np.cumsum(np.concatenate(([0], deg[indices[indptr[lo] : indptr[hi]]])))
-    walked = walked[indptr[lo : hi + 1] - indptr[lo]]
-    cut = np.flatnonzero(np.diff(walked[:-1] // _BLOCK_ELEMENTS, prepend=-1))
-    cut = np.append(cut, size)
+    deg = graph._degree
     total = np.zeros(size)
     count = np.zeros(size, dtype=np.int64)
-    for a, b in zip(cut[:-1].tolist(), cut[1:].tolist()):
-        mid = indices[indptr[lo + a] : indptr[lo + b]]  # w of each link u - w
-        span = deg[mid]
-        u = np.repeat(np.repeat(np.arange(b - a), deg[lo + a : lo + b]), span)
-        offset = np.repeat(indptr[mid] - (np.cumsum(span) - span), span)
-        v = indices[offset + np.arange(len(u))] - lo
-        key, c = np.unique(u * size + v, return_counts=True)
-        u, v = key // size, key % size
-        pair = u + a != v
-        u, v, c = u[pair], v[pair], c[pair]
+    for a, b, u, v, c in _co_occurrences(graph, side):
         jaccard = c / (deg[lo + a + u] + deg[lo + v] - c)
         total[a:b] = np.bincount(u, weights=jaccard, minlength=b - a)
         count[a:b] = np.bincount(u, minlength=b - a)
@@ -429,31 +362,28 @@ def opsahl_path_counts(graph: BipartiteGraph) -> tuple[int, int]:
     A 4-path is a simple path on 5 nodes; it is closed when its end nodes
     share a neighbor outside the path.
     """
+    indptr, indices = graph._indptr.tolist(), graph._indices.tolist()
+    rows = [indices[a:b] for a, b in zip(indptr, indptr[1:])]
+    neighbor_sets = list(map(set, rows))
     paths = 0
     closed = 0
-    neighbor_sets: dict[tuple[Side, str], set[str]] = {}
-    for side in (Side.LEFT, Side.RIGHT):
-        for x in graph.nodes(side):
-            neighbor_sets[(side, x)] = set(graph.neighbors(x, side))
-    for side in (Side.LEFT, Side.RIGHT):
-        # enumerate paths v0 - w0 - center - w1 - v2 ordered once via w0 < w1
-        for center in graph.nodes(side):
-            mids = graph.neighbors(center, side)
-            for a in range(len(mids)):
-                for b in range(a + 1, len(mids)):
-                    w0, w1 = mids[a], mids[b]
-                    ends0 = neighbor_sets[(side.other, w0)] - {center}
-                    ends1 = neighbor_sets[(side.other, w1)] - {center}
-                    for v0 in ends0:
-                        n0 = neighbor_sets[(side, v0)]
-                        for v2 in ends1:
-                            if v0 == v2:
-                                continue
-                            paths += 1
-                            shared = n0 & neighbor_sets[(side, v2)]
-                            shared -= {w0, w1}
-                            if shared:
-                                closed += 1
+    # enumerate paths v0 - w0 - center - w1 - v2 ordered once via w0 < w1
+    for center, mids in enumerate(rows):
+        for a in range(len(mids)):
+            for b in range(a + 1, len(mids)):
+                w0, w1 = mids[a], mids[b]
+                ends0 = neighbor_sets[w0] - {center}
+                ends1 = neighbor_sets[w1] - {center}
+                for v0 in ends0:
+                    n0 = neighbor_sets[v0]
+                    for v2 in ends1:
+                        if v0 == v2:
+                            continue
+                        paths += 1
+                        shared = n0 & neighbor_sets[v2]
+                        shared -= {w0, w1}
+                        if shared:
+                            closed += 1
     return paths, closed
 
 
@@ -478,11 +408,10 @@ def projected_centrality(
     n = len(nodes)
 
     def adjacency():
-        index = {x: i for i, x in enumerate(nodes)}
-        return _scipy_csr(*_csr([proj.neighbors(u) for u in nodes], index))
+        return _scipy_csr(proj._indptr, proj._indices)
 
     if metric == "degree":
-        values = np.array([proj.degree(u) for u in nodes], dtype=np.int64) / max(n - 1, 1)
+        values = np.diff(proj._indptr) / max(n - 1, 1)
     elif metric == "closeness":
         reached, total = _swept(graph, ("sweep", side), adjacency, False)[:2]
         values = _closeness_values(reached, total, np.full(n, float(n - 1)), "projected closeness")

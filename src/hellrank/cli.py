@@ -268,6 +268,8 @@ def run(argv: list[str] | None = None) -> int:
             parser.error("--weighted needs --input: --dataset graphs have no link weights")
         if args.node_list:
             parser.error("--node-list needs --input: --dataset graphs have a fixed node set")
+    if args.command == "scores" and args.metric == "opsahl" and args.normalize != "none":
+        parser.error("--normalize needs a per-node metric: opsahl is one value for the graph")
     try:
         with _output(args) as out:
             if args.command == "scores":

@@ -82,8 +82,8 @@ def hellinger_distance(p, q) -> float:
 
 
 def _same_side(graph: BipartiteGraph, x: str, y: str, side: Side | None) -> Side:
-    sx = graph._resolve_side(x, side)
-    sy = graph._resolve_side(y, side)
+    sx = graph._span(x, side)[0]
+    sy = graph._span(y, side)[0]
     if sx is not sy:
         raise ValueError(f"{x!r} and {y!r} are on different sides")
     return sx
@@ -395,10 +395,7 @@ def threshold_graph(matrix: DistanceMatrix, threshold: float) -> UnipartiteGraph
     """Graph on the matrix labels with an edge wherever d(u, v) < threshold."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    labels = matrix.labels
-    edges = [
-        (labels[i], labels[j])
-        for i, row in enumerate(matrix.values)
-        for j in i + 1 + np.flatnonzero(row[i + 1 :] < threshold)
-    ]
-    return UnipartiteGraph(labels, edges)
+    near = [i + 1 + np.flatnonzero(r[i + 1 :] < threshold) for i, r in enumerate(matrix.values)]
+    i = np.repeat(np.arange(len(near)), [len(j) for j in near])
+    j = np.concatenate([np.zeros(0, dtype=np.int64), *near])
+    return UnipartiteGraph._from_pairs(matrix.labels, i, j)

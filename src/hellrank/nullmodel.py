@@ -143,31 +143,27 @@ def monte_carlo_distance(
     collected: list[np.ndarray] = []
     count = 0
     rejects = 0
+
+    def reference(draw):
+        """The first ``draw()`` of degree k (its sum); rejects count over all calls."""
+        nonlocal rejects
+        while int(np.sum(x := draw())) != k:
+            rejects += 1
+            if rejects > max_rejects:
+                raise SamplingError(
+                    f"no degree-{k} reference after {max_rejects} draws; "
+                    "pick k closer to n2*p"
+                )
+        return x
+
     while count < samples:
         if method == "model":
             # only degrees matter: left degrees are independent Binomial(n2, p)
-            while True:
-                if int(rng.binomial(params.n2, params.p)) == k:
-                    break
-                rejects += 1
-                if rejects > max_rejects:
-                    raise SamplingError(
-                        f"no degree-{k} reference after {max_rejects} draws; "
-                        "pick k closer to n2*p"
-                    )
+            reference(lambda: rng.binomial(params.n2, params.p))
             others = rng.binomial(params.n2, params.p, size=params.n1 - 1).astype(float)
             d = np.sqrt(np.maximum(k + others - 2.0 * np.sqrt(k * others), 0.0))
         else:
-            while True:
-                row = _sample_graph(rng, 1, params.n2, params.p)[0]
-                if int(row.sum()) == k:
-                    break
-                rejects += 1
-                if rejects > max_rejects:
-                    raise SamplingError(
-                        f"no degree-{k} reference after {max_rejects} draws; "
-                        "pick k closer to n2*p"
-                    )
+            row = reference(lambda: _sample_graph(rng, 1, params.n2, params.p)[0])
             adj = np.vstack([row, _sample_graph(rng, params.n1 - 1, params.n2, params.p)])
             # left node i counts its neighbors by degree; a right node's degree is its column sum
             i, j = np.nonzero(adj)

@@ -22,6 +22,7 @@ from hellrank import (
     projected_centrality,
 )
 from hellrank import baselines, cli
+from hellrank import graph as graph_module
 from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
 from hellrank.cli import run
 from hellrank.hellinger import DistanceMode
@@ -180,7 +181,7 @@ def hub_graphs():
 def scipy_adjacency(graph):
     import scipy.sparse as sp
 
-    indptr, indices = baselines._links(graph)
+    indptr, indices = graph._indptr, graph._indices
     n = len(indptr) - 1
     return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
 
@@ -267,11 +268,11 @@ class TestClusteringCoefficients:
         g = BipartiteGraph([("a", "1")])
         assert latapy_cc(g, Side.LEFT)["a"] == 0.0
 
-    @pytest.mark.parametrize("budget", [1, baselines._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("budget", [1, graph_module._BLOCK_ELEMENTS])
     @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
     def test_latapy_matches_oracle(self, side, budget, monkeypatch):
         # budget 1 counts the 2-hop walks of one node at a time
-        monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", budget)
         for g in latapy_graphs():
             mine = latapy_cc(g, side)
             for x, want in brute_latapy_cc(g, side).items():
@@ -353,7 +354,7 @@ def block_budget(request, monkeypatch):
     """Element budget of a BFS block; small budgets split the sources into
     many blocks, the last one short."""
     if request.param is not None:
-        monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", request.param)
+        monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", request.param)
 
 
 @pytest.mark.usefixtures("block_budget")
@@ -496,8 +497,8 @@ class TestSweepMemo:
     def test_block_budget_does_not_change_bits(self, side, monkeypatch):
         edges = giant_and_small_components(6)
         results = []
-        for budget in (1, 100, baselines._BLOCK_ELEMENTS):
-            monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", budget)
+        for budget in (1, 100, graph_module._BLOCK_ELEMENTS):
+            monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", budget)
             order = ("closeness2", "betweenness2", "closeness1", "betweenness1")
             results.append(sweep_values(BipartiteGraph(edges), side, order))
         for other in results[1:]:
@@ -511,7 +512,7 @@ class TestSweepMemo:
         argv = ["scores", "--input", str(path), "--metric", "all", "--side", side]
         outputs = []
         for budget in (1, 8192):
-            monkeypatch.setattr(baselines, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", budget)
             with pytest.warns(DisconnectedGraphWarning):
                 assert run(argv) == 0
             outputs.append(capsys.readouterr().out)
@@ -577,7 +578,7 @@ class TestSweepMemo:
         g = BipartiteGraph(giant_and_small_components(10))
         A = baselines._adjacency(g)
         pagerank(g)
-        arrays = [*baselines._links(g), A.data, A.indices, A.indptr, g._memo["rows"]]
+        arrays = [g._indptr, g._indices, A.data, A.indices, A.indptr, g._memo["rows"]]
         with pytest.warns(DisconnectedGraphWarning):
             bipartite_closeness(g, Side.LEFT)
         bipartite_betweenness(g, Side.LEFT)

@@ -353,10 +353,12 @@ class TestErrorsAndDeterminism:
             ["project", "--dataset", "davis", "--threads", "2"],
             ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5", "--threads", "2"],
             ["project", "--dataset", "davis", "--mode", "raw"],
+            ["scores", "--dataset", "davis", "--metric", "opsahl", "--normalize", "max"],
         ],
     )
     def test_unread_flags_are_usage_errors(self, capsys, argv):
-        # --seed only reaches the null-model Monte Carlo, --threads and --mode only the kernel
+        # --seed only reaches the null-model Monte Carlo, --threads and --mode only the
+        # kernel, --normalize only per-node scores
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2

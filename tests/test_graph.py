@@ -2,6 +2,8 @@ import csv
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hellrank import (
     BipartiteGraph,
@@ -16,6 +18,9 @@ from hellrank import (
     project,
     weighted_neighbor_degree_vector,
 )
+from hellrank import graph as graph_module
+
+from oracles import random_bipartite
 
 
 class TestLoadEdgeList:
@@ -154,6 +159,24 @@ class TestProjection:
         assert set(proj.nodes) == {"a", "z"}
         assert proj.num_edges == 0
 
+    @pytest.mark.parametrize("budget", [1, 100, graph_module._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("side", [Side.LEFT, Side.RIGHT])
+    def test_matches_shared_neighbors(self, side, budget, rng, monkeypatch):
+        # budget 1 lists the 2-hop walks of one node at a time
+        monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", budget)
+        for _ in range(6):
+            g = random_bipartite(rng, 30, 25, 0.15)
+            nodes = g.nodes(side)
+            want = {
+                (u, v)
+                for i, u in enumerate(nodes)
+                for v in nodes[i + 1 :]
+                if set(g.neighbors(u, side)) & set(g.neighbors(v, side))
+            }
+            proj = project(g, side)
+            assert proj.nodes == nodes
+            assert {tuple(sorted(e)) for e in proj.edges()} == {tuple(sorted(e)) for e in want}
+
 
 class TestUnipartiteGraph:
     def test_validation(self):
@@ -189,3 +212,57 @@ class TestUnipartiteGraph:
             'graph G {\n  "say \\"hi\\"";\n  "tail\\\\";\n'
             '  "say \\"hi\\"" -- "tail\\\\";\n}\n'
         )
+
+
+# Short labels over an alphabet with NUL, non-ASCII, quotes and commas; both
+# sides draw from it, so the same label often names a node on each side.
+LABELS = st.text(
+    st.sampled_from(["a", "B", "\x00", "é", "日", "😀", '"', "'", ",", " "]), max_size=3
+)
+# Multiples of 1/4: their sums are exact in any order.
+WEIGHTS = st.integers(1, 40).map(lambda i: i / 4)
+
+
+@st.composite
+def edge_lists(draw):
+    """(lines, weights, isolated_left, isolated_right, a permutation of the lines)."""
+    links = draw(st.lists(st.tuples(LABELS, LABELS), max_size=25, unique=True))
+    lines = links + (draw(st.lists(st.sampled_from(links), max_size=10)) if links else [])
+    weights = draw(st.lists(WEIGHTS, min_size=len(lines), max_size=len(lines)))
+    isolated = [draw(st.lists(LABELS, max_size=4)) for _ in Side]
+    return lines, weights, *isolated, draw(st.permutations(range(len(lines))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+@example(([("x", "x\x00"), ("x\x00", "x"), ('q"', "a,b"), ("x", "é"), ("x", "x\x00")],
+          [1.0, 2.0, 0.5, 0.25, 3.0], ["é", "x"], ["x"], [4, 2, 0, 3, 1]))
+def test_graph_core_properties(case):
+    lines, weights, isolated_left, isolated_right, order = case
+    expect = {Side.LEFT: {}, Side.RIGHT: {}}
+    for u, v in lines:
+        expect[Side.LEFT].setdefault(u, set()).add(v)
+        expect[Side.RIGHT].setdefault(v, set()).add(u)
+    for side, isolated in ((Side.LEFT, isolated_left), (Side.RIGHT, isolated_right)):
+        for x in isolated:
+            expect[side].setdefault(x, set())
+    for w in (None, weights):
+        g = BipartiteGraph(lines, w, isolated_left, isolated_right)
+        shuffled = BipartiteGraph(
+            [lines[k] for k in order], w and [w[k] for k in order], isolated_left, isolated_right
+        )
+        assert shuffled == g
+        assert g.num_links == len(set(lines))
+        for side in Side:
+            assert g.nodes(side) == tuple(expect[side])  # first seen, isolated last
+            for x, ns in expect[side].items():
+                assert g.neighbors(x, side) == tuple(sorted(ns))
+                assert g.degree(x, side) == len(ns)
+        if w is not None:
+            for link in set(lines):
+                assert g.link_weight(*link) == sum(wk for l, wk in zip(lines, w) if l == link)
+        indptr, indices = g._indptr, g._indices
+        rows = [(Side.LEFT, x) for x in g.left_nodes] + [(Side.RIGHT, y) for y in g.right_nodes]
+        for i, (side, x) in enumerate(rows):
+            row = tuple(rows[j][1] for j in indices[indptr[i] : indptr[i + 1]])
+            assert row == g.neighbors(x, side)
