@@ -41,6 +41,14 @@ PER_NODE_METRICS = [
 ]
 METRICS = PER_NODE_METRICS + ["opsahl"]
 
+# scores flags that only some metrics read: flag -> (default, the metrics that read it)
+SCORES_FLAGS = {
+    "side": ("left", PER_NODE_METRICS + ["all"]),
+    "mode": ("normalized", ["hellrank", "all"]),
+    "threads": (None, ["hellrank", "all"]),
+    "damping": (0.85, ["pagerank", "all"]),
+}
+
 
 def compute_metric(
     graph: BipartiteGraph,
@@ -160,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="hellrank", choices=METRICS + ["all"])
     p.add_argument("--normalize", choices=["none", "max"], default="none")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--damping", type=_damping, default=0.85)
+    p.add_argument("--damping", type=_damping)
+    # None until run() checks that --metric reads the flag
+    p.set_defaults(side=None, mode=None)
 
     p = sub.add_parser("distances", help="pairwise distance matrix (CSV)")
     _add_common(p, kernel=True)
@@ -188,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("null-model", help="random-graph distance statistics (JSON)")
     _add_common(p, needs_graph=False)
     p.add_argument("--seed", type=_non_negative_int, default=0, help="Monte-Carlo random seed")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    p.add_argument("--n1", type=_positive_int, required=True)
+    p.add_argument("--n2", type=_positive_int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--sigmas", type=float, default=1.0)
     p.add_argument(
         "--samples", type=_non_negative_int, default=0,
@@ -268,8 +278,14 @@ def run(argv: list[str] | None = None) -> int:
             parser.error("--weighted needs --input: --dataset graphs have no link weights")
         if args.node_list:
             parser.error("--node-list needs --input: --dataset graphs have a fixed node set")
-    if args.command == "scores" and args.metric == "opsahl" and args.normalize != "none":
-        parser.error("--normalize needs a per-node metric: opsahl is one value for the graph")
+    if args.command == "scores":
+        if args.metric == "opsahl" and args.normalize != "none":
+            parser.error("--normalize needs a per-node metric: opsahl is one value for the graph")
+        for flag, (default, readers) in SCORES_FLAGS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif args.metric not in readers:
+                parser.error(f"--{flag} does not apply to --metric {args.metric}")
     try:
         with _output(args) as out:
             if args.command == "scores":

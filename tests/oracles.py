@@ -175,20 +175,51 @@ def empirical_mc_distances(
     graphs.
 
     Draws the same random numbers in the same order as the empirical
-    monte_carlo_distance: a one-row reference draw, repeated until its degree
-    is k, then the other n1 - 1 rows.
+    monte_carlo_distance, batch by batch with its batch size: each graph's
+    reference degree, redrawn until it is k; each graph's k reference
+    neighbors; then the number of the batch's other edges and their cells,
+    numbered row by row over the other n1 - 1 rows of each graph in turn.
     """
+    from hellrank.nullmodel import _BATCH_CELLS
+
     rng = np.random.default_rng(seed)
+    graphs = -(-samples // (n1 - 1))
+    batch = max(1, _BATCH_CELLS // (n1 * max(n2, n1 + 1)))
     out: list[list[float]] = []
-    count = 0
-    while count < samples:
-        row = rng.random((1, n2)) < p
-        if int(row.sum()) != k:
-            continue
-        graph = bipartite_from_matrix(np.vstack([row, rng.random((n1 - 1, n2)) < p]))
-        out.append([brute_distance(graph, "L0", f"L{i}", Side.LEFT, False) for i in range(1, n1)])
-        count += n1 - 1
+    for lo in range(0, graphs, batch):
+        b = min(batch, graphs - lo)
+        for _ in range(b):
+            while rng.binomial(n2, p) != k:
+                pass
+        adj = np.zeros((b, n1, n2), dtype=bool)
+        for g in range(b):
+            adj[g, 0, rng.choice(n2, k, replace=False, shuffle=False)] = True
+        cells = b * (n1 - 1) * n2
+        others = np.zeros(cells, dtype=bool)
+        others[rng.choice(cells, rng.binomial(cells, p), replace=False, shuffle=False)] = True
+        adj[:, 1:, :] = others.reshape(b, n1 - 1, n2)
+        for g in range(b):
+            graph = bipartite_from_matrix(adj[g])
+            out.append(
+                [brute_distance(graph, "L0", f"L{i}", Side.LEFT, False) for i in range(1, n1)]
+            )
     return np.concatenate(out)[:samples]
+
+
+def gammaln_moments(
+    n2: int, p: float, k: int, cutoff: int | None = None
+) -> tuple[float, float, float]:
+    """(mean, second moment, variance) of expected_distance_moments, summed
+    as it sums them but with scipy's gammaln in the Poisson pmf."""
+    from scipy.special import gammaln
+
+    lam = n2 * p
+    i = np.arange(1, (cutoff or n2) + 1, dtype=float)
+    pmf = np.exp(-lam + i * math.log(lam) - gammaln(i + 1.0))
+    d2 = np.maximum(k + i - 2.0 * np.sqrt(k * i), 0.0)
+    m2 = float(np.sum(pmf * d2))
+    m1 = float(np.sum(pmf * np.sqrt(d2)))
+    return m1, m2, max(m2 - m1 * m1, 0.0)
 
 
 def random_bipartite(rng: np.random.Generator, n1: int, n2: int, p: float) -> BipartiteGraph:
@@ -278,5 +309,5 @@ def sparse_kernel(monkeypatch) -> None:
     for name, fn in swaps.items():
         monkeypatch.setattr(hellinger, name, fn)
     # nullmodel imported these three by name
-    for name in ("_count_matrix", "_sqrt_mass_matrix", "_block_distances"):
+    for name in ("_count_matrix", "_sqrt_mass_matrix", "_sq_diff"):
         monkeypatch.setattr(nullmodel, name, swaps[name])

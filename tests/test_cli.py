@@ -248,6 +248,18 @@ class TestNullModel:
         assert data["monte_carlo"]["mean"] == pytest.approx(data["mean"], abs=0.05)
         assert json.loads(run_ok(capsys, argv)) == data  # deterministic
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--n1", "0"), ("--n2", "0"), ("--k", "0"), ("--n1", "-3"), ("--k", "x")]
+    )
+    def test_size_flags_below_one_usage_error(self, capsys, flag, value):
+        argv = ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5"]
+        argv[argv.index(flag) + 1] = value
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}:" in captured.err
+
     def test_invalid_params_exit_1(self, capsys):
         assert run(["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "11"]) == 1
         assert "hellrank:" in capsys.readouterr().err
@@ -345,6 +357,46 @@ class TestErrorsAndDeterminism:
     def test_damping_reaches_pagerank(self, capsys):
         argv = ["scores", "--dataset", "davis", "--metric", "pagerank"]
         assert run_ok(capsys, argv + ["--damping", "0.5"]) != run_ok(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "metric, flags",
+        [
+            ("degree2", ["--damping", "0.5"]),
+            ("degree2", ["--mode", "raw"]),
+            ("degree2", ["--threads", "3"]),
+            ("hellrank", ["--damping", "0.5"]),
+            ("pagerank", ["--mode", "normalized"]),
+            ("pagerank", ["--threads", "1"]),
+            ("opsahl", ["--side", "left"]),
+            ("opsahl", ["--damping", "0.85"]),
+            ("opsahl", ["--mode", "raw"]),
+            ("opsahl", ["--threads", "2"]),
+        ],
+    )
+    def test_scores_flags_the_metric_does_not_read_are_usage_errors(self, capsys, metric, flags):
+        with pytest.raises(SystemExit) as err:
+            run(["scores", "--dataset", "davis", "--metric", metric] + flags)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flags[0]} does not apply to --metric {metric}" in captured.err
+
+    @pytest.mark.parametrize(
+        "metric, flags",
+        [
+            ("hellrank", ["--mode", "raw", "--threads", "2", "--side", "right"]),
+            ("pagerank", ["--damping", "0.5", "--side", "right"]),
+            ("degree2", ["--side", "right"]),
+            ("all", ["--damping", "0.5", "--mode", "raw", "--threads", "2", "--side", "right"]),
+        ],
+    )
+    def test_scores_flags_the_metric_reads_are_accepted(self, capsys, metric, flags):
+        run_ok(capsys, ["scores", "--dataset", "davis", "--metric", metric] + flags)
+
+    def test_scores_defaults_equal_explicit_flags(self, capsys):
+        argv = ["scores", "--dataset", "davis", "--metric", "all"]
+        explicit = ["--side", "left", "--mode", "normalized", "--damping", "0.85"]
+        assert run_ok(capsys, argv) == run_ok(capsys, argv + explicit)
 
     @pytest.mark.parametrize(
         "argv",

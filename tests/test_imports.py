@@ -1,9 +1,9 @@
 """Which scipy modules each command loads.
 
-Importing scipy.sparse and scipy.special costs about 0.3-0.4 s, most of a
+Importing scipy.sparse or scipy.special costs about 0.3-0.4 s, most of a
 small `scores` run, so the distance kernel's commands must load none of
-scipy, nor must PageRank and eigenvector; the BFS sweep of closeness and
-betweenness and the null model's closed form import it on use.
+scipy, nor must PageRank, eigenvector or `null-model`; only the BFS sweep of
+closeness and betweenness imports it, on use.
 """
 
 import contextlib
@@ -86,11 +86,11 @@ def test_all_metrics_load_sparse_but_not_linalg():
     assert not [m for m in result["scipy"] if m.startswith("scipy.linalg")]
 
 
-def test_null_model_loads_special_but_not_sparse():
-    result = fresh_run(NULL_MODEL)
+@pytest.mark.parametrize("method", ["empirical", "model"])
+def test_null_model_loads_no_scipy(method):
+    result = fresh_run(NULL_MODEL + ["--method", method])
     assert result["status"] == 0
-    assert "scipy.special" in result["scipy"]
-    assert not [m for m in result["scipy"] if m.startswith("scipy.sparse")]
+    assert result["scipy"] == []
 
 
 @pytest.mark.parametrize(

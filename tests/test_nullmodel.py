@@ -11,9 +11,15 @@ from hellrank import (
     poisson_hellinger_sq,
     similarity_threshold,
 )
-from hellrank.nullmodel import SamplingError
+from hellrank import nullmodel
+from hellrank.nullmodel import SamplingError, _lgam, _sample_edges
 
-from oracles import empirical_mc_distances, poisson_hellinger_sq_series, sample_model_distances
+from oracles import (
+    empirical_mc_distances,
+    gammaln_moments,
+    poisson_hellinger_sq_series,
+    sample_model_distances,
+)
 
 
 class TestPoissonHellingerSq:
@@ -77,10 +83,80 @@ class TestExpectedMoments:
         extended = expected_distance_moments(params, cutoff=10_000)
         assert base.mean == pytest.approx(extended.mean, abs=1e-9)
 
+    @pytest.mark.parametrize("n2", [10, 100, 2000])
+    @pytest.mark.parametrize("p", [0.005, 0.1, 0.5])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_bit_identical_to_gammaln_sum(self, n2, p, k):
+        m = expected_distance_moments(NullModelParams(n1=5, n2=n2, p=p, k=k))
+        assert (m.mean, m.second_moment, m.variance) == gammaln_moments(n2, p, k)
+
+    @pytest.mark.parametrize("n2, p, k", [(100, 0.1, 10), (2000, 0.005, 10), (50, 0.9, 40)])
+    def test_bit_identical_to_gammaln_sum_with_cutoff(self, n2, p, k):
+        m = expected_distance_moments(NullModelParams(n1=5, n2=n2, p=p, k=k), cutoff=10_000)
+        assert (m.mean, m.second_moment, m.variance) == gammaln_moments(n2, p, k, 10_000)
+
     def test_p_zero_warns(self):
         with pytest.warns(UserWarning, match="p = 0"):
             m = expected_distance_moments(NullModelParams(n1=5, n2=10, p=0.0, k=1))
         assert m.mean == 0.0
+
+
+class TestLogGamma:
+    def test_equals_gammaln_at_every_integer_to_200k(self):
+        from scipy.special import gammaln
+
+        n = np.arange(2, 200_002)
+        assert np.array_equal(_lgam(n), gammaln(n.astype(float)))
+
+    def test_equals_gammaln_at_branch_edges(self):
+        from scipy.special import gammaln
+
+        n = np.array([12, 13, 999, 1000, 1001, 10**8, 10**8 + 1])
+        assert np.array_equal(_lgam(n), gammaln(n.astype(float)))
+        assert np.array_equal(_lgam(n[::-1]), gammaln(n[::-1].astype(float)))
+
+
+class TestEmpiricalSampler:
+    @pytest.mark.parametrize("p", [0.005, 0.3])
+    def test_edge_law(self, p):
+        n1, n2, k, graphs = 20, 300, 7, 150
+        left, right = _sample_edges(np.random.default_rng(5), n1, n2, p, k, graphs)
+        g = left // n1
+        assert np.array_equal(g, right // n2)
+        cell = left * n2 + right % n2
+        assert len(np.unique(cell)) == len(cell)
+        ref = left % n1 == 0
+        # k distinct neighbors of every reference node, a uniform k-subset
+        assert np.array_equal(np.bincount(g[ref], minlength=graphs), np.full(graphs, k))
+        hits = np.bincount(right[ref] % n2, minlength=n2)
+        assert hits.var() < 2 * graphs * (k / n2) * (1 - k / n2)
+        # every other cell is an edge with probability p
+        cells = graphs * (n1 - 1) * n2
+        assert abs((~ref).sum() / cells - p) < 5 * math.sqrt(p * (1 - p) / cells)
+
+    def test_edge_law_per_row_and_column(self):
+        # the other cells are spread evenly over the rows and the columns
+        n1, n2, p, graphs = 10, 50, 0.3, 400
+        left, right = _sample_edges(np.random.default_rng(6), n1, n2, p, 3, graphs)
+        other = left % n1 != 0
+        rows = np.bincount(left[other] % n1, minlength=n1)[1:]
+        columns = np.bincount(right[other] % n2, minlength=n2)
+        for counts in (rows, columns):
+            trials = graphs * (n1 - 1) * n2 / len(counts)
+            assert np.all(np.abs(counts / trials - p) < 5 * math.sqrt(p * (1 - p) / trials))
+
+    def test_spans_batches_deterministically(self, monkeypatch):
+        batches = []
+        count_matrix = nullmodel._count_matrix
+        monkeypatch.setattr(
+            nullmodel, "_count_matrix", lambda *a: batches.append(a[3]) or count_matrix(*a)
+        )
+        params = NullModelParams(n1=50, n2=2000, p=0.005, k=10)
+        a = monte_carlo_distance(params, 49 * 25, seed=3)
+        assert len(batches) >= 2
+        assert sum(batches) == 50 * 25
+        assert monte_carlo_distance(params, 49 * 25, seed=3) == a
+        assert monte_carlo_distance(params, 49 * 25, seed=4) != a
 
 
 class TestMonteCarlo:
@@ -123,6 +199,18 @@ class TestMonteCarlo:
         assert mc.mean == pytest.approx(d.mean(), abs=1e-12)
         assert mc.second_moment == pytest.approx((d * d).mean(), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n1, n2, p, k, samples, seed", [(6, 40, 0.15, 6, 103, 1), (12, 60, 0.1, 5, 150, 4)]
+    )
+    def test_empirical_matches_brute_force_replay_over_batches(
+        self, monkeypatch, n1, n2, p, k, samples, seed
+    ):
+        monkeypatch.setattr(nullmodel, "_BATCH_CELLS", 1000)
+        mc = monte_carlo_distance(NullModelParams(n1, n2, p, k), samples, seed)
+        d = empirical_mc_distances(n1, n2, p, k, samples, seed)
+        assert mc.mean == pytest.approx(d.mean(), abs=1e-12)
+        assert mc.second_moment == pytest.approx((d * d).mean(), abs=1e-12)
+
     def test_empirical_exceeds_limit_model(self):
         # finite graphs have sparse integer histograms, so their distances sit
         # above the smooth-limit closed form; see the module docstring
@@ -135,6 +223,21 @@ class TestMonteCarlo:
         params = NullModelParams(n1=5, n2=100, p=0.01, k=50)
         with pytest.raises(SamplingError):
             monte_carlo_distance(params, 10, seed=0, method="model", max_rejects=100)
+
+    def test_empirical_sampling_error_when_k_unreachable(self):
+        params = NullModelParams(n1=5, n2=100, p=0.01, k=50)
+        with pytest.raises(SamplingError, match="after 100 draws"):
+            monte_carlo_distance(params, 10, seed=0, method="empirical", max_rejects=100)
+
+    @pytest.mark.parametrize("method", ["empirical", "model"])
+    def test_rejects_count_over_all_references(self, method):
+        # P(degree 5) ~ 0.18 at n2 * p = 5: one reference needs a few rejects,
+        # ten of them need more than 15 between them
+        params = NullModelParams(n1=2, n2=100, p=0.05, k=5)
+        monte_carlo_distance(params, 1, seed=0, method=method, max_rejects=15)
+        monte_carlo_distance(params, 10, seed=0, method=method, max_rejects=200)
+        with pytest.raises(SamplingError):
+            monte_carlo_distance(params, 10, seed=0, method=method, max_rejects=15)
 
     def test_validation(self):
         params = NullModelParams(n1=5, n2=10, p=0.5, k=5)
