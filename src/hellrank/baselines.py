@@ -142,40 +142,87 @@ def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
     also its unweighted betweenness (endpoints excluded, each pair counted
     once).
 
-    One BFS per block of sources gives all three.  Betweenness sums Brandes
-    (2001) dependencies, accumulated level by level from the deepest: a node
-    at level l-1 collects sigma_v / sigma_w * (1 + delta_w) from each
-    neighbor w at level l.  Each source's dependencies are added in source
-    order, one source at a time, so no bit of the result depends on how the
-    sources were blocked.
+    Degree-1 nodes are folded out first (Baglioni, Geraci, Pellegrini &
+    Lastres 2012).  A leaf, a node of degree 1 whose neighbor p has degree
+    2 or more, is removed and counted in k_p, the leaves folded into p.  A
+    node left with no neighbor (isolated, or a star center whose neighbors
+    were all leaves) is dropped as well; what is kept is every other node,
+    a K2 component's two ends included.  Every shortest path to or from a
+    leaf runs through its parent, so the leaves need no BFS of their own:
+
+    - a kept node v stands for itself and its k_v leaves, weight 1 + k_v.
+      It reaches its k_v leaves at hop 1, and each kept t that it reaches
+      at hop l, plus t's k_t leaves at hop l + 1;
+    - a leaf of p reaches what p reaches: R_p nodes (itself out, p in), at
+      one hop more than p, so its distance sum is total_p + R_p - 1;
+    - a dropped node with k leaves reaches them at hop 1.
+
+    These are integer counts, so closeness is exact.  Betweenness sums
+    Brandes (2001) dependencies, accumulated level by level from the
+    deepest: a kept node at level l-1 collects sigma_v / sigma_t *
+    (1 + k_t + delta_t) from each neighbor t at level l, since t's leaves
+    are targets reached only through t.  A leaf has its parent's
+    dependencies, so each source's column is added 1 + k_s times.  That
+    counts every pair of ends outside v's own leaves.  The pairs with an
+    end among them are added in closed form after halving: v lies on every
+    shortest path from one of its leaves to the R_v - k_v other nodes it
+    reaches, k_v (R_v - k_v) pairs, and between two of its leaves,
+    k_v (k_v - 1) / 2 pairs.  A leaf lies inside no shortest path.  The
+    result is the unfolded sweep's up to the order in which floats are
+    added.
+
+    One BFS per block of kept sources gives all three.  Each source's
+    dependencies are added in source order, one source at a time, so no
+    bit of the result depends on how the sources were blocked.
     """
     n = A.shape[0]
-    reached = np.zeros(n, dtype=np.int64)
-    total = np.zeros(n, dtype=np.int64)
-    bc = np.zeros(n)
-    ones = np.ones(n)
-    step = max(1, graph_module._BLOCK_ELEMENTS // max(n, 1))  # the budget _co_occurrences reads
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        levels, sigma = _bfs(A, lo, hi)
+    degree = np.diff(A.indptr)
+    leaf = degree == 1
+    leaf[leaf] = degree[A.indices[A.indptr[:-1][leaf]]] >= 2
+    parent = A.indices[A.indptr[:-1][leaf]]
+    k = np.bincount(parent, minlength=n)
+    kept = ~leaf & (degree > k)
+    # the reduced graph: the links between kept nodes, renumbered in order
+    source = np.flatnonzero(kept)
+    links = np.repeat(kept, degree) & kept[A.indices]
+    ids = np.cumsum(kept) - 1
+    B = _scipy_csr(np.concatenate([[0], np.cumsum(degree[kept] - k[kept])]), ids[A.indices[links]])
+
+    m = len(source)
+    # per kept node: the nodes it stands for, and its leaves
+    weights = np.stack([1.0 + k[kept], k[kept]])
+    reached = k.copy()
+    total = k.copy()
+    bc = np.zeros(m)
+    step = max(1, graph_module._BLOCK_ELEMENTS // max(m, 1))  # the budget _co_occurrences reads
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        levels, sigma = _bfs(B, lo, hi)
         for level in range(1, len(levels)):
             # a product counts a level's nodes several times faster than .sum(axis=0)
-            count = (ones @ levels[level]).astype(np.int64)
-            reached[lo:hi] += count
-            total[lo:hi] += level * count
+            nodes, leaves = (weights @ levels[level]).astype(np.int64)
+            reached[source[lo:hi]] += nodes
+            total[source[lo:hi]] += level * nodes + leaves
         if not betweenness:
             continue
         divisor = np.where(sigma > 0, sigma, 1.0)
         delta = np.zeros(sigma.shape)
         for level in range(len(levels) - 1, 1, -1):
-            share = (1.0 + delta) * levels[level] / divisor
-            delta += levels[level - 1] * sigma * (A @ share)
-        for column in delta.T:
-            bc += column
-    out = (reached, total, bc / 2.0)[: 2 + betweenness]
+            share = (weights[0][:, None] + delta) * levels[level] / divisor
+            delta += levels[level - 1] * sigma * (B @ share)
+        for column, times in zip(delta.T, 1 + k[source[lo:hi]]):
+            for _ in range(times):
+                bc += column
+    reached[leaf] = reached[parent]
+    total[leaf] = total[parent] + reached[parent] - 1
+    out = [reached, total]
+    if betweenness:
+        halved = np.zeros(n)
+        halved[kept] = bc / 2.0
+        out.append(halved + (k * (reached - k) + k * (k - 1) // 2))
     for values in out:
         _frozen(values)
-    return out
+    return tuple(out)
 
 
 def _swept(graph: BipartiteGraph, key, adjacency, betweenness: bool) -> tuple[np.ndarray, ...]:

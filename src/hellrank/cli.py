@@ -41,8 +41,9 @@ PER_NODE_METRICS = [
 ]
 METRICS = PER_NODE_METRICS + ["opsahl"]
 
-# scores flags that only some metrics read: flag -> (default, the metrics that read it)
-SCORES_FLAGS = {
+# flags that only some metrics read: flag -> (default, the metrics that read it);
+# scores checks them against its --metric, correlate and sweep-k against their two
+METRIC_FLAGS = {
     "side": ("left", PER_NODE_METRICS + ["all"]),
     "mode": ("normalized", ["hellrank", "all"]),
     "threads": (None, ["hellrank", "all"]),
@@ -124,14 +125,25 @@ _positive_int = _int_at_least(1)
 _non_negative_int = _int_at_least(0)
 
 
-def _damping(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0 < value < 1:  # also False for nan
-        raise argparse.ArgumentTypeError(f"must be strictly between 0 and 1, got {text}")
-    return value
+def _float_where(ok, requirement: str):
+    """argparse type: a float for which ``ok`` holds (never nan, since every
+    comparison with nan is False)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_damping = _float_where(lambda v: 0 < v < 1, "strictly between 0 and 1")
+_probability = _float_where(lambda v: 0 <= v <= 1, "between 0 and 1")
+_sigmas = _float_where(lambda v: 0 <= v < float("inf"), "finite and >= 0")
 
 
 def _add_common(
@@ -181,14 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--topk", type=_positive_int, default=5)
-    p.add_argument("--damping", type=_damping, default=0.85)
+    p.add_argument("--damping", type=_damping)
+    p.set_defaults(mode=None)
 
     p = sub.add_parser("sweep-k", help="top-k agreement series (CSV)")
     _add_common(p, kernel=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--kmax", type=_positive_int, default=None)
-    p.add_argument("--damping", type=_damping, default=0.85)
+    p.add_argument("--damping", type=_damping)
+    p.set_defaults(mode=None)
 
     p = sub.add_parser("threshold-graph", help="graph of node pairs closer than a cutoff")
     _add_common(p, kernel=True)
@@ -200,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative_int, default=0, help="Monte-Carlo random seed")
     p.add_argument("--n1", type=_positive_int, required=True)
     p.add_argument("--n2", type=_positive_int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_probability, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
-    p.add_argument("--sigmas", type=float, default=1.0)
+    p.add_argument("--sigmas", type=_sigmas, default=1.0)
     p.add_argument(
         "--samples", type=_non_negative_int, default=0,
         help="Monte-Carlo cross-check sample count (0: none)",
@@ -270,6 +284,16 @@ def _pair_tables(args, graph):
     return tables[args.metric_a], tables[args.metric_b]
 
 
+def _check_metric_flags(parser, args, metrics: list[str], given: str) -> None:
+    """Fill in the default of each ``METRIC_FLAGS`` flag left unset, and make
+    a flag that none of ``metrics`` reads a usage error."""
+    for flag, (default, readers) in METRIC_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif not set(metrics) & set(readers):
+            parser.error(f"--{flag} does not apply to {given}")
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -281,11 +305,10 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "scores":
         if args.metric == "opsahl" and args.normalize != "none":
             parser.error("--normalize needs a per-node metric: opsahl is one value for the graph")
-        for flag, (default, readers) in SCORES_FLAGS.items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-            elif args.metric not in readers:
-                parser.error(f"--{flag} does not apply to --metric {args.metric}")
+        _check_metric_flags(parser, args, [args.metric], f"--metric {args.metric}")
+    elif args.command in ("correlate", "sweep-k"):
+        _check_metric_flags(parser, args, [args.metric_a, args.metric_b],
+                            f"--metric-a {args.metric_a} --metric-b {args.metric_b}")
     try:
         with _output(args) as out:
             if args.command == "scores":

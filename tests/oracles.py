@@ -3,8 +3,9 @@
 Everything here is deliberately naive: dense vectors, explicit pair loops,
 exhaustive path enumeration.  Nothing imports from the production distance
 or clustering code paths beyond the graph container itself.  The exception
-is the last section, a copy of the scipy.sparse distance kernel that the
-dense kernel must match bit for bit.
+are the last two sections: a copy of the scipy.sparse distance kernel that
+the dense kernel must match bit for bit, and a copy of the BFS sweep from
+before degree-1 folding, whose hop counts the folded sweep must match.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 
 import numpy as np
 
-from hellrank.graph import BipartiteGraph, Side
+from hellrank import graph as graph_module
+from hellrank.baselines import _bfs
+from hellrank.graph import BipartiteGraph, Side, _frozen
 
 
 def dense_neighbor_degree_vector(
@@ -311,3 +314,52 @@ def sparse_kernel(monkeypatch) -> None:
     # nullmodel imported these three by name
     for name in ("_count_matrix", "_sqrt_mass_matrix", "_sq_diff"):
         monkeypatch.setattr(nullmodel, name, swaps[name])
+
+
+# -- the BFS sweep before degree-1 folding ------------------------------------
+#
+# ``hellrank.baselines._sweep`` folds the leaves out and adds them back in
+# closed form; this is the sweep it replaced, one BFS column per node.  Its
+# reached and total must come out equal, and its betweenness within 1e-12.
+
+
+def unfolded_sweep(A, betweenness: bool) -> tuple[np.ndarray, ...]:
+    """Per node of the symmetric CSR ``A``: the number of other nodes it
+    reaches and the sum of its hop distances to them; with ``betweenness``,
+    also its unweighted betweenness (endpoints excluded, each pair counted
+    once).
+
+    One BFS per block of sources gives all three.  Betweenness sums Brandes
+    (2001) dependencies, accumulated level by level from the deepest: a node
+    at level l-1 collects sigma_v / sigma_w * (1 + delta_w) from each
+    neighbor w at level l.  Each source's dependencies are added in source
+    order, one source at a time, so no bit of the result depends on how the
+    sources were blocked.
+    """
+    n = A.shape[0]
+    reached = np.zeros(n, dtype=np.int64)
+    total = np.zeros(n, dtype=np.int64)
+    bc = np.zeros(n)
+    ones = np.ones(n)
+    step = max(1, graph_module._BLOCK_ELEMENTS // max(n, 1))  # the budget _co_occurrences reads
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        levels, sigma = _bfs(A, lo, hi)
+        for level in range(1, len(levels)):
+            # a product counts a level's nodes several times faster than .sum(axis=0)
+            count = (ones @ levels[level]).astype(np.int64)
+            reached[lo:hi] += count
+            total[lo:hi] += level * count
+        if not betweenness:
+            continue
+        divisor = np.where(sigma > 0, sigma, 1.0)
+        delta = np.zeros(sigma.shape)
+        for level in range(len(levels) - 1, 1, -1):
+            share = (1.0 + delta) * levels[level] / divisor
+            delta += levels[level - 1] * sigma * (A @ share)
+        for column in delta.T:
+            bc += column
+    out = (reached, total, bc / 2.0)[: 2 + betweenness]
+    for values in out:
+        _frozen(values)
+    return out

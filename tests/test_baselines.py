@@ -19,6 +19,7 @@ from hellrank import (
     opsahl_cc,
     opsahl_path_counts,
     pagerank,
+    project,
     projected_centrality,
 )
 from hellrank import baselines, cli
@@ -27,7 +28,7 @@ from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
 from hellrank.cli import run
 from hellrank.hellinger import DistanceMode
 
-from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite
+from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite, unfolded_sweep
 from test_imports import fresh_run
 
 
@@ -394,6 +395,97 @@ class TestDisconnectedAgainstNetworkx:
                 assert betweenness[x] == pytest.approx(
                     raw[v] / ((n - 1) * (n - 2) / 2), abs=1e-12
                 )
+
+
+def leaf_heavy_powerlaw():
+    """Authors x papers, each author on 1-4 papers drawn with probability
+    falling as 1 / rank, so most papers and many authors have degree 1."""
+    rng = np.random.default_rng(12)
+    papers = 1.0 / np.arange(1, 121)
+    papers /= papers.sum()
+    edges = []
+    for a in range(150):
+        picks = rng.choice(120, size=min(rng.geometric(0.6), 4), replace=False, p=papers)
+        edges += [(f"a{a}", f"p{j}") for j in picks]
+    return BipartiteGraph(edges)
+
+
+def fold_graphs():
+    """Graphs with degree-1 nodes in every position the fold tells apart."""
+    yield BipartiteGraph([("hub", str(j)) for j in range(6)])  # a star: all but one are leaves
+    yield BipartiteGraph([("a", "1"), ("b", "1"), ("b", "2"), ("c", "2"), ("c", "3")])  # a path
+    yield BipartiteGraph([("a", "1"), ("b", "2")], isolated_left=["z"], isolated_right=["y"])
+    yield mixed_fold_graph()
+    g = leaf_heavy_powerlaw()
+    assert (g._degree == 1).mean() > 0.4
+    yield g
+
+
+def mixed_fold_graph():
+    """21 nodes, of which 10 are kept: a star whose center is dropped with
+    its 3 leaves; a path of 6 whose 2 ends are leaves; a K2 component; an
+    isolated node on each side; and a hub h with two leaves, linked on to a
+    path that ends in the leaf f."""
+    edges = [("s", "s1"), ("s", "s2"), ("s", "s3")]
+    edges += [("a", "1"), ("b", "1"), ("b", "2"), ("c", "2"), ("c", "3")]
+    edges += [("k", "kk")]
+    edges += [("h", "p1"), ("h", "p2"), ("h", "p3"), ("g", "p3"), ("g", "p4"), ("f", "p4")]
+    return BipartiteGraph(edges, isolated_left=["z"], isolated_right=["y"])
+
+
+def fold_adjacencies(graph):
+    """The sweep's scipy adjacency of the graph and of its two projections."""
+    yield baselines._adjacency(graph)
+    for side in (Side.LEFT, Side.RIGHT):
+        proj = project(graph, side)
+        yield baselines._scipy_csr(proj._indptr, proj._indices)
+
+
+def kept_nodes(G):
+    """The nodes the fold keeps, from networkx degrees: not a leaf of a node
+    of degree 2 or more, and with a neighbor that is not such a leaf."""
+    def leaf(v):
+        return G.degree(v) == 1 and G.degree(next(iter(G[v]))) >= 2
+
+    return [v for v in G if not leaf(v) and any(not leaf(u) for u in G[v])]
+
+
+@pytest.mark.usefixtures("block_budget")
+class TestDegreeOneFold:
+    def test_hop_counts_equal_the_unfolded_sweep(self):
+        for g in fold_graphs():
+            for A in fold_adjacencies(g):
+                for betweenness in (False, True):
+                    mine, ref = baselines._sweep(A, betweenness), unfolded_sweep(A, betweenness)
+                    assert np.array_equal(mine[0], ref[0])
+                    assert np.array_equal(mine[1], ref[1])
+
+    def test_betweenness_matches_unfolded_sweep_and_networkx(self):
+        for g in fold_graphs():
+            for A in fold_adjacencies(g):
+                bc = baselines._sweep(A, True)[2]
+                np.testing.assert_allclose(bc, unfolded_sweep(A, True)[2], rtol=1e-12, atol=0)
+                raw = nx.betweenness_centrality(nx.from_scipy_sparse_array(A), normalized=False)
+                np.testing.assert_allclose(bc, [raw[v] for v in range(A.shape[0])],
+                                           rtol=1e-12, atol=0)
+
+    def test_one_source_column_per_kept_node(self, monkeypatch):
+        columns = []
+        bfs = baselines._bfs
+
+        def counted(A, lo, hi):
+            columns.append(hi - lo)
+            return bfs(A, lo, hi)
+
+        monkeypatch.setattr(baselines, "_bfs", counted)
+        A = baselines._adjacency(mixed_fold_graph())
+        baselines._sweep(A, True)
+        assert A.shape[0] == 21 and sum(columns) == 10
+        for g in fold_graphs():
+            for A in fold_adjacencies(g):
+                columns.clear()
+                baselines._sweep(A, True)
+                assert sum(columns) == len(kept_nodes(nx.from_scipy_sparse_array(A)))
 
 
 def latapy_graphs():

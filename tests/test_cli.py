@@ -264,13 +264,25 @@ class TestNullModel:
         assert run(["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "11"]) == 1
         assert "hellrank:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("sigmas", ["nan", "inf"])
-    def test_non_finite_sigmas_exit_1(self, capsys, sigmas):
-        # json.dump would print NaN or Infinity, which strict parsers reject
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--p", "1.5"), ("--p", "-0.1"), ("--p", "nan"), ("--p", "x"),
+         ("--sigmas", "-1"), ("--sigmas", "nan"), ("--sigmas", "inf")],
+    )
+    def test_p_and_sigmas_out_of_range_usage_error(self, capsys, flag, value):
+        # a nan or infinite sigmas would reach json.dump as NaN or Infinity,
+        # which strict parsers reject
         argv = ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5"]
-        assert run(argv + ["--sigmas", sigmas]) == 1
+        with pytest.raises(SystemExit) as err:
+            run(argv + [flag, value])
+        assert err.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "sigmas" in captured.err
+        assert captured.out == "" and f"argument {flag}:" in captured.err
+
+    def test_p_and_sigmas_at_their_limits(self, capsys):
+        argv = ["null-model", "--n1", "5", "--n2", "10", "--k", "5"]
+        for extra in (["--p", "1", "--sigmas", "0"], ["--p", "0.2", "--sigmas", "1e300"]):
+            json.loads(run_ok(capsys, argv + extra))
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "-5")])
     def test_negative_seed_or_samples_usage_error(self, capsys, flag, value):
@@ -392,6 +404,37 @@ class TestErrorsAndDeterminism:
     )
     def test_scores_flags_the_metric_reads_are_accepted(self, capsys, metric, flags):
         run_ok(capsys, ["scores", "--dataset", "davis", "--metric", metric] + flags)
+
+    @pytest.mark.parametrize("command", ["correlate", "sweep-k"])
+    @pytest.mark.parametrize(
+        "metrics, flags",
+        [
+            (["degree2", "closeness2"], ["--damping", "0.5"]),
+            (["hellrank", "degree2"], ["--damping", "0.85"]),
+            (["degree2", "pagerank"], ["--mode", "raw"]),
+            (["pagerank", "closeness1"], ["--threads", "2"]),
+        ],
+    )
+    def test_pair_flags_neither_metric_reads_are_usage_errors(self, capsys, command, metrics,
+                                                              flags):
+        argv = [command, "--dataset", "davis", "--metric-a", metrics[0], "--metric-b", metrics[1]]
+        with pytest.raises(SystemExit) as err:
+            run(argv + flags)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        given = f"--metric-a {metrics[0]} --metric-b {metrics[1]}"
+        assert f"{flags[0]} does not apply to {given}" in captured.err
+
+    @pytest.mark.parametrize("command", ["correlate", "sweep-k"])
+    def test_pair_flags_either_metric_reads_are_accepted(self, capsys, command):
+        # --metric-a defaults to hellrank, which reads --mode and --threads
+        argv = [command, "--dataset", "davis", "--metric-b", "pagerank"]
+        explicit = ["--mode", "normalized", "--threads", "2", "--damping", "0.85"]
+        assert run_ok(capsys, argv) == run_ok(capsys, argv + explicit)
+        swapped = [command, "--dataset", "davis", "--metric-a", "pagerank", "--metric-b",
+                   "hellrank", "--mode", "raw", "--damping", "0.5"]
+        run_ok(capsys, swapped)
 
     def test_scores_defaults_equal_explicit_flags(self, capsys):
         argv = ["scores", "--dataset", "davis", "--metric", "all"]
