@@ -144,11 +144,12 @@ def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
 
     Degree-1 nodes are folded out first (Baglioni, Geraci, Pellegrini &
     Lastres 2012).  A leaf, a node of degree 1 whose neighbor p has degree
-    2 or more, is removed and counted in k_p, the leaves folded into p.  A
-    node left with no neighbor (isolated, or a star center whose neighbors
-    were all leaves) is dropped as well; what is kept is every other node,
-    a K2 component's two ends included.  Every shortest path to or from a
-    leaf runs through its parent, so the leaves need no BFS of their own:
+    2 or more, or degree 1 and a lower index (the later end of a K2
+    component), is removed and counted in k_p, the leaves folded into p.  A
+    node left with no neighbor (isolated, a star center whose neighbors were
+    all leaves, or the earlier end of a K2) is dropped as well; what is kept
+    is every other node.  Every shortest path to or from a leaf runs
+    through its parent, so the leaves need no BFS of their own:
 
     - a kept node v stands for itself and its k_v leaves, weight 1 + k_v.
       It reaches its k_v leaves at hop 1, and each kept t that it reaches
@@ -178,7 +179,8 @@ def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
     n = A.shape[0]
     degree = np.diff(A.indptr)
     leaf = degree == 1
-    leaf[leaf] = degree[A.indices[A.indptr[:-1][leaf]]] >= 2
+    other = A.indices[A.indptr[:-1][leaf]]
+    leaf[leaf] = (degree[other] >= 2) | (other < np.flatnonzero(leaf))
     parent = A.indices[A.indptr[:-1][leaf]]
     k = np.bincount(parent, minlength=n)
     kept = ~leaf & (degree > k)

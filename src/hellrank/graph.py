@@ -302,12 +302,16 @@ def _fixed6_block(v: np.ndarray) -> list[str]:
     fast &= np.abs(x - np.floor(x) - 0.5) >= 1e-6
     r = np.rint(x).astype(np.int64).ravel()
     width = len(str(r.max() // 1_000_000))  # digits before the point
+    # numpy divides by a constant with a multiply and shift, faster in 32 bits
+    r = r.astype(np.uint32 if r.max() < 2**32 else np.int64, copy=False)
     # one text row per cell: integer digits, ".", six fraction digits, ","
     text = np.empty((r.size, width + 8), np.uint8)
     q = r
     for k in range(width + 5, -1, -1):
-        q, digit = np.divmod(q, 10)
-        text[:, k + (k >= width)] = digit + 48
+        next_q = q // 10
+        text[:, k + (k >= width)] = q - next_q * 10
+        q = next_q
+    text += 48  # digit values to ASCII digits
     text[:, width] = ord(".")
     text[:, -1] = ord(",")
     text.reshape(len(v), -1)[:, -1] = ord("\n")  # the last cell of each row

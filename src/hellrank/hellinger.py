@@ -216,12 +216,6 @@ def _sq_diff(S: np.ndarray, a, b, coef: float) -> np.ndarray:
     return coef * _row_sums(diff * diff)
 
 
-# Gram rows computed at a time: each degree column scatters its products into
-# a slab of this many rows, so the writes stay within a few MB.  The slab
-# height changes no value.
-_GRAM_ROWS = 128
-
-
 def _gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """S[lo:hi] @ S.T, accumulated one column at a time in ascending order
     over that column's nonzero rows.
@@ -231,17 +225,13 @@ def _gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
     differently with the height of the block.
     """
     u = S.shape[0]
-    g = np.empty((hi - lo, u))
-    columns = [(col, np.flatnonzero(col)) for col in S.T]
-    for a in range(lo, hi, _GRAM_ROWS):
-        b = min(a + _GRAM_ROWS, hi)
-        slab = g[a - lo : b - lo]
-        slab.fill(0.0)
-        flat = slab.reshape(-1)
-        for col, J in columns:
-            I = J[np.searchsorted(J, a) : np.searchsorted(J, b)]
-            if len(I):
-                flat[((I - a) * u)[:, None] + J] += np.multiply.outer(col[I], col[J])
+    g = np.zeros((hi - lo, u))
+    flat = g.reshape(-1)
+    for col in S.T:
+        J = np.flatnonzero(col)
+        I = J[np.searchsorted(J, lo) : np.searchsorted(J, hi)]
+        if len(I):
+            flat[((I - lo) * u)[:, None] + J] += np.multiply.outer(col[I], col[J])
     return g
 
 
@@ -291,12 +281,14 @@ def distance_matrix(
     max_side: int = DEFAULT_MATRIX_CAP,
     force: bool = False,
     threads: int | None = None,
-    block: int = 1024,
+    block: int = 128,
 ) -> "DistanceMatrix":
     """Full symmetric pairwise distance matrix for one side.
 
     Storage is quadratic; sides larger than ``max_side`` are refused unless
-    ``force`` is set.
+    ``force`` is set.  Each thread scores ``block`` distinct vectors at a
+    time, so beside the result working memory grows with block x u per
+    thread (u distinct vectors), and block x n for copying into the result.
     """
     labels = list(graph.nodes(side))
     S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)
@@ -330,15 +322,16 @@ def hellrank(
     mode: DistanceMode = DistanceMode.NORMALIZED,
     weighted: bool = False,
     threads: int | None = None,
-    block: int = 1024,
+    block: int = 128,
 ) -> CentralityScores:
     """Per-node score n / (sum of distances to every node of the side).
 
     Row sums are streamed block by block over the distinct neighbor-degree
     vectors, each weighted by how many nodes share it, so the quadratic matrix
-    is never materialized.  If every pairwise distance is zero (structurally
-    identical nodes) all scores are 1.0 and a DegenerateDistancesWarning is
-    emitted.
+    is never materialized: each thread scores ``block`` distinct vectors at a
+    time, so working memory grows with block x u per thread (u distinct
+    vectors).  If every pairwise distance is zero (structurally identical
+    nodes) all scores are 1.0 and a DegenerateDistancesWarning is emitted.
     """
     labels = list(graph.nodes(side))
     S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)

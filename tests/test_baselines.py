@@ -415,17 +415,24 @@ def fold_graphs():
     yield BipartiteGraph([("hub", str(j)) for j in range(6)])  # a star: all but one are leaves
     yield BipartiteGraph([("a", "1"), ("b", "1"), ("b", "2"), ("c", "2"), ("c", "3")])  # a path
     yield BipartiteGraph([("a", "1"), ("b", "2")], isolated_left=["z"], isolated_right=["y"])
+    yield k2_graph()
     yield mixed_fold_graph()
     g = leaf_heavy_powerlaw()
     assert (g._degree == 1).mean() > 0.4
     yield g
 
 
+def k2_graph():
+    """Four K2 components and nothing else."""
+    return BipartiteGraph([("a", "1"), ("b", "2"), ("c", "3"), ("d", "4")])
+
+
 def mixed_fold_graph():
-    """21 nodes, of which 10 are kept: a star whose center is dropped with
+    """21 nodes, of which 8 are kept: a star whose center is dropped with
     its 3 leaves; a path of 6 whose 2 ends are leaves; a K2 component; an
     isolated node on each side; and a hub h with two leaves, linked on to a
-    path that ends in the leaf f."""
+    path that ends in the leaf f.  The K2 component is dropped: one end is
+    folded into the other."""
     edges = [("s", "s1"), ("s", "s2"), ("s", "s3")]
     edges += [("a", "1"), ("b", "1"), ("b", "2"), ("c", "2"), ("c", "3")]
     edges += [("k", "kk")]
@@ -442,10 +449,14 @@ def fold_adjacencies(graph):
 
 
 def kept_nodes(G):
-    """The nodes the fold keeps, from networkx degrees: not a leaf of a node
-    of degree 2 or more, and with a neighbor that is not such a leaf."""
+    """The nodes the fold keeps, from networkx degrees: not a leaf, and with
+    a neighbor that is not a leaf.  A leaf has degree 1 and a neighbor of
+    degree 2 or more, or of degree 1 and a lower index."""
     def leaf(v):
-        return G.degree(v) == 1 and G.degree(next(iter(G[v]))) >= 2
+        if G.degree(v) != 1:
+            return False
+        (u,) = G[v]
+        return G.degree(u) >= 2 or u < v
 
     return [v for v in G if not leaf(v) and any(not leaf(u) for u in G[v])]
 
@@ -480,7 +491,11 @@ class TestDegreeOneFold:
         monkeypatch.setattr(baselines, "_bfs", counted)
         A = baselines._adjacency(mixed_fold_graph())
         baselines._sweep(A, True)
-        assert A.shape[0] == 21 and sum(columns) == 10
+        assert A.shape[0] == 21 and sum(columns) == 8
+        columns.clear()
+        reached, total, bc = baselines._sweep(baselines._adjacency(k2_graph()), True)
+        assert columns == []  # every node is a leaf or dropped
+        assert (reached == 1).all() and (total == 1).all() and (bc == 0).all()
         for g in fold_graphs():
             for A in fold_adjacencies(g):
                 columns.clear()

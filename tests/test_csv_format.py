@@ -44,6 +44,8 @@ MATRICES = st.integers(1, 12).flatmap(
 @example([SPECIAL])
 @example([[v] for v in SPECIAL])
 @example([[0.5, 123.25, 7.0], [999.9999995, 0.0000004, 10.0]])
+@example([[4294.967295, 0.5]])  # largest cell 2**32 - 1 millionths: 32-bit digits
+@example([[4294.967296, 0.5]])  # 2**32 millionths: 64-bit digits
 def test_matches_fstring(rows):
     assert list(_fixed6_rows(rows)) == fstring_rows(rows)
 

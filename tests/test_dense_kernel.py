@@ -53,7 +53,7 @@ def test_all_pairs_bit_identical(monkeypatch, seed, weighted, side, mode):
         sparse_kernel(mp)
         want_scores = scores_array(hellrank(g, side, mode, weighted=weighted))
         want_matrix = distance_matrix(g, side, mode, weighted=weighted).values
-    for block in (16, 1024):
+    for block in (1, 16, 128, 1024):
         for threads in (1, 4):
             got = hellrank(g, side, mode, weighted=weighted, threads=threads, block=block)
             assert np.array_equal(scores_array(got), want_scores)

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hellrank import (
     threshold_graph,
     weighted_node_distance,
 )
+from hellrank import hellinger
 from hellrank.graph import UnipartiteGraph
 from hellrank.hellinger import DegenerateDistancesWarning
 
@@ -42,6 +44,15 @@ def class_graph(n_classes: int, copies: int) -> BipartiteGraph:
 
 def random_edges(rng, n1: int, n2: int, p: float) -> list[tuple[str, str]]:
     return [(f"L{i}", f"R{j}") for i, j in zip(*np.nonzero(rng.random((n1, n2)) < p))]
+
+
+def traced_peak(call):
+    """call()'s result and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_matches_oracle(g: BipartiteGraph, mode: DistanceMode) -> None:
@@ -245,12 +256,7 @@ class TestDistanceMatrix:
     def test_expansion_temporary_is_bounded(self):
         g = class_graph(20, 100)  # 2000 nodes; 16 of the 20 vectors cover 1600 of them
         block = 16
-        tracemalloc.start()
-        try:
-            m = distance_matrix(g, Side.LEFT, block=block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        m, peak = traced_peak(lambda: distance_matrix(g, Side.LEFT, block=block))
         n = len(m.labels)
         assert peak <= m.values.nbytes + 4 * block * n * 8
         assert np.array_equal(m.values, distance_matrix(g, Side.LEFT).values)
@@ -262,12 +268,7 @@ class TestDistanceMatrix:
             values = rng.random((n, n)) * 12  # one- and two-digit integer parts
             m = DistanceMatrix(Side.LEFT, [f"n{i}" for i in range(n)], values, DistanceMode.RAW)
             with open(os.devnull, "w") as null:
-                tracemalloc.start()
-                try:
-                    m.to_csv(null)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(lambda: m.to_csv(null))[1])
         assert peaks[1] < 3 * 2**20  # the 1500 x 1500 values alone take 18 MB
         assert peaks[1] < 1.5 * peaks[0]
 
@@ -339,6 +340,28 @@ class TestHellRank:
             a = hellrank(g, Side.LEFT, mode, threads=1, block=16)
             b = hellrank(g, Side.LEFT, mode, threads=4, block=16)
             assert a.scores == b.scores
+
+    def test_threads_split_a_side_of_a_few_hundred_vectors(self, monkeypatch, rng):
+        g = random_bipartite(rng, 300, 60, 0.1)  # nearly 300 distinct vectors
+        spans = []
+
+        class Recording(ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                spans.append(list(iterables[0]))
+                return super().map(fn, spans[-1])
+
+        monkeypatch.setattr(hellinger, "ThreadPoolExecutor", Recording)
+        two = hellrank(g, Side.LEFT, threads=2)
+        assert len(spans) == 1 and len(spans[0]) > 1
+        assert two.scores == hellrank(g, Side.LEFT, threads=1).scores
+
+    def test_working_memory_grows_with_the_block_not_the_side(self):
+        # nearly all 1500 vectors are distinct, so u is about the side's size
+        g = random_bipartite(np.random.default_rng(3), 1500, 1000, 0.008)
+        _, peak = traced_peak(lambda: hellrank(g, Side.LEFT))
+        assert peak < 8e6
+        m, peak = traced_peak(lambda: distance_matrix(g, Side.LEFT))
+        assert peak - m.values.nbytes < 8e6
 
 
 class TestAdversarialKernel:
