@@ -319,7 +319,8 @@ def eigenvector_centrality(
     residual = math.inf
     for _ in range(max_iterations):
         w = product(v) + v
-        norm = np.linalg.norm(w)
+        # not np.linalg.norm: BLAS sums in an order set by its thread count
+        norm = math.sqrt(np.add.reduce(w * w))
         if norm == 0:
             break
         w /= norm

@@ -7,12 +7,21 @@ null-model, project.  All runs are deterministic for fixed inputs and seed;
 
 from __future__ import annotations
 
+import os
+import sys
+
+# When numpy loads, OpenBLAS reads this variable once and starts one worker
+# thread per extra core.  Nothing here uses that pool: the program's own
+# parallelism is --threads, and its one BLAS call, the BFS sweep's level
+# count, is a small product that is exact on integers at any thread count.
+# A value the user set wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
-import sys
 from contextlib import contextmanager
 
-from . import baselines, rankeval
 from .datasets import builtin_names, load_builtin
 from .graph import (
     BipartiteGraph,
@@ -62,6 +71,8 @@ def compute_metric(
 ) -> CentralityScores:
     if name == "hellrank":
         return hellrank(graph, side, mode, weighted=weighted, threads=threads)
+    from . import baselines
+
     if name == "degree2":
         return baselines.bipartite_degree(graph, side)
     if name == "closeness2":
@@ -233,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _scores_command(args, out) -> None:
     graph = _load_graph(args)
     if args.metric == "opsahl":
+        from . import baselines
+
         value = baselines.opsahl_cc(graph)
         if args.format == "json":
             json.dump({"opsahl": value}, out)
@@ -325,6 +338,8 @@ def run(argv: list[str] | None = None) -> int:
                 )
                 m.to_csv(out)
             elif args.command == "correlate":
+                from . import rankeval
+
                 graph = _load_graph(args)
                 n = len(graph.nodes(Side(args.side)))
                 if args.topk > n:
@@ -354,6 +369,8 @@ def run(argv: list[str] | None = None) -> int:
                 )
                 out.write("\n")
             elif args.command == "sweep-k":
+                from . import rankeval
+
                 graph = _load_graph(args)
                 n = len(graph.nodes(Side(args.side)))
                 if args.kmax is not None and args.kmax > n - 1:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, TextIO
@@ -78,7 +77,10 @@ def hellinger_distance(p, q) -> float:
             raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
     if (pv < 0).any() or (qv < 0).any():
         raise ValueError("vector entries must be >= 0")
-    return float(np.linalg.norm(np.sqrt(pv) - np.sqrt(qv)) / math.sqrt(2))
+    diff = np.sqrt(pv) - np.sqrt(qv)
+    # np.add.reduce, not np.linalg.norm: BLAS sums long vectors in an order
+    # that depends on its thread count
+    return math.sqrt(np.add.reduce(diff * diff, axis=None)) / math.sqrt(2)
 
 
 def _same_side(graph: BipartiteGraph, x: str, y: str, side: Side | None) -> Side:
@@ -268,6 +270,8 @@ def _blocks(n: int, block: int) -> list[tuple[int, int]]:
 
 def _run_blocks(fn, spans, threads: int | None):
     if threads is not None and threads > 1 and len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda s: fn(*s), spans))
     return [fn(*s) for s in spans]

@@ -20,13 +20,17 @@ from hellrank.baselines import _bfs
 from hellrank.graph import BipartiteGraph, Side, _frozen
 
 
+def max_degree(graph: BipartiteGraph) -> int:
+    return max(
+        (graph.degree(x, s) for s in (Side.LEFT, Side.RIGHT) for x in graph.nodes(s)),
+        default=0,
+    )
+
+
 def dense_neighbor_degree_vector(
-    graph: BipartiteGraph, node: str, side: Side, weighted: bool = False
+    graph: BipartiteGraph, node: str, side: Side, top: int, weighted: bool = False
 ) -> list[float]:
-    top = 0
-    for s in (Side.LEFT, Side.RIGHT):
-        for x in graph.nodes(s):
-            top = max(top, graph.degree(x, s))
+    """``top``: the graph's ``max_degree``, computed once by the caller."""
     vec = [0.0] * max(top, 1)
     for nb in graph.neighbors(node, side):
         link = (node, nb) if side is Side.LEFT else (nb, node)
@@ -34,11 +38,7 @@ def dense_neighbor_degree_vector(
     return vec
 
 
-def brute_distance(
-    graph: BipartiteGraph, x: str, y: str, side: Side, normalized: bool, weighted: bool = False
-) -> float:
-    p = dense_neighbor_degree_vector(graph, x, side, weighted)
-    q = dense_neighbor_degree_vector(graph, y, side, weighted)
+def dense_distance(p: list[float], q: list[float], normalized: bool) -> float:
     if normalized:
         sp, sq = sum(p), sum(q)
         p = [v / sp for v in p] if sp else p
@@ -49,12 +49,23 @@ def brute_distance(
     return factor * math.sqrt(sum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in zip(p, q)))
 
 
+def brute_distance(
+    graph: BipartiteGraph, x: str, y: str, side: Side, normalized: bool, weighted: bool = False
+) -> float:
+    top = max_degree(graph)
+    p = dense_neighbor_degree_vector(graph, x, side, top, weighted)
+    q = dense_neighbor_degree_vector(graph, y, side, top, weighted)
+    return dense_distance(p, q, normalized)
+
+
 def brute_hellrank(graph: BipartiteGraph, side: Side, normalized: bool) -> dict[str, float]:
     nodes = list(graph.nodes(side))
     n = len(nodes)
+    top = max_degree(graph)
+    vectors = [dense_neighbor_degree_vector(graph, x, side, top) for x in nodes]
     out = {}
-    for x in nodes:
-        total = sum(brute_distance(graph, x, z, side, normalized) for z in nodes)
+    for x, p in zip(nodes, vectors):
+        total = sum(dense_distance(p, q, normalized) for q in vectors)
         out[x] = n / total if total > 0 else 1.0
     return out
 

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -29,7 +32,7 @@ from hellrank.cli import run
 from hellrank.hellinger import DistanceMode
 
 from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite, unfolded_sweep
-from test_imports import fresh_run
+from test_imports import SRC, fresh_run
 
 
 def to_networkx(graph):
@@ -210,7 +213,7 @@ def scipy_eigenvector(A, tolerance=1e-10):
     v = np.ones(A.shape[0]) / np.sqrt(A.shape[0])
     while True:
         w = A @ v + v
-        w /= np.linalg.norm(w)
+        w /= np.sqrt(np.add.reduce(w * w))  # the module's norm, which calls no BLAS
         done = float(np.abs(w - v).max()) < tolerance
         v = w
         if done:
@@ -251,6 +254,38 @@ class TestProductMatchesScipy:
                 lo, hi = baselines._side_range(g, side)
                 ref = v[lo:hi] / (v[lo:hi].max() or 1.0)
                 assert np.array_equal(side_values(g, side, eigenvector_centrality(g, side)), ref)
+
+
+EIGENVECTOR_HEX = """
+import numpy as np
+from hellrank import BipartiteGraph, Side, eigenvector_centrality
+
+# 12,000 left nodes of degree 3 and 9,000 right nodes of degree 4 (fewer where
+# a repeated link is dropped): near-regular, so the iteration converges fast
+rng = np.random.default_rng(5)
+left = np.repeat(np.arange(12000), 3)
+right = rng.permutation(np.repeat(np.arange(9000), 4))
+g = BipartiteGraph(sorted({(f"a{a}", f"p{b}") for a, b in zip(left.tolist(), right.tolist())}))
+for side in (Side.LEFT, Side.RIGHT):
+    print(*(v.hex() for v in eigenvector_centrality(g, side).scores.values()))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores for 2 BLAS threads")
+def test_eigenvector_is_the_same_at_any_blas_thread_count():
+    # OpenBLAS splits a dot product of over 10,000 entries across its
+    # threads, so a norm through BLAS moved with OPENBLAS_NUM_THREADS
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", EIGENVECTOR_HEX],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert len(outputs[0].split()) == 21000
+    assert outputs[0] == outputs[1]
 
 
 class TestClusteringCoefficients:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import math
@@ -21,7 +22,6 @@ from hellrank import (
     threshold_graph,
     weighted_node_distance,
 )
-from hellrank import hellinger
 from hellrank.graph import UnipartiteGraph
 from hellrank.hellinger import DegenerateDistancesWarning
 
@@ -350,7 +350,8 @@ class TestHellRank:
                 spans.append(list(iterables[0]))
                 return super().map(fn, spans[-1])
 
-        monkeypatch.setattr(hellinger, "ThreadPoolExecutor", Recording)
+        # _run_blocks imports the executor where it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         two = hellrank(g, Side.LEFT, threads=2)
         assert len(spans) == 1 and len(spans[0]) > 1
         assert two.scores == hellrank(g, Side.LEFT, threads=1).scores

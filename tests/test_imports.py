@@ -1,9 +1,11 @@
-"""Which scipy modules each command loads.
+"""Which modules each command loads, and how the CLI sets up the process.
 
-Importing scipy.sparse or scipy.special costs about 0.3-0.4 s, most of a
+Importing scipy.sparse takes about 0.21-0.25 s on top of numpy, most of a
 small `scores` run, so the distance kernel's commands must load none of
 scipy, nor must PageRank, eigenvector or `null-model`; only the BFS sweep of
-closeness and betweenness imports it, on use.
+closeness and betweenness imports it, on use.  `import hellrank` alone loads
+no submodule and no numpy, and the CLI sets `OPENBLAS_NUM_THREADS` before
+numpy loads unless the user has set it.
 """
 
 import contextlib
@@ -25,29 +27,73 @@ CORRELATE = ["correlate", "--dataset", "davis", "--metric-a", "degree2", "--metr
 NULL_MODEL = ["null-model", "--n1", "6", "--n2", "40", "--p", "0.15", "--k", "6", "--samples", "100"]
 
 
-def fresh_run(argv: list[str] | None) -> dict:
-    """Exit code, stdout and loaded scipy modules of ``argv`` run in a new
-    interpreter (``None``: only import the package)."""
+def fresh_run(argv: list[str] | None, openblas: str | None = None, numpy_first: bool = False) -> dict:
+    """Exit code, stdout, loaded scipy and hellrank modules, whether numpy
+    loaded, and the final ``OPENBLAS_NUM_THREADS`` of ``argv`` run in a new
+    interpreter (``None``: only import the package; ``[]``: import the CLI
+    too).  ``openblas`` is the variable's value at start (``None``: unset);
+    ``numpy_first`` imports numpy before the package."""
     code = (
-        "import contextlib, io, json, sys, hellrank\n"
+        "import contextlib, io, json, os, sys\n"
         "argv = json.loads(sys.argv[1])\n"
+        "if sys.argv[2] == 'numpy':\n"
+        "    import numpy\n"
+        "import hellrank\n"
         "out = io.StringIO()\n"
-        "if argv is None:\n"
-        "    status = 0\n"
-        "else:\n"
+        "status = 0\n"
+        "if argv is not None:\n"
         "    import hellrank.cli\n"
-        "    with contextlib.redirect_stdout(out):\n"
-        "        status = hellrank.cli.run(argv)\n"
-        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(json.dumps({'status': status, 'out': out.getvalue(), 'scipy': scipy}))\n"
+        "    if argv:\n"
+        "        with contextlib.redirect_stdout(out):\n"
+        "            status = hellrank.cli.run(argv)\n"
+        "def loaded(top):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == top)\n"
+        "print(json.dumps({'status': status, 'out': out.getvalue(), 'scipy': loaded('scipy'),\n"
+        "                  'hellrank': loaded('hellrank'), 'numpy': 'numpy' in sys.modules,\n"
+        "                  'openblas': os.environ.get('OPENBLAS_NUM_THREADS')}))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
     done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argv)],
+        [sys.executable, "-c", code, json.dumps(argv), "numpy" if numpy_first else "-"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def test_import_alone_loads_nothing():
+    result = fresh_run(None)
+    assert result["hellrank"] == ["hellrank"]
+    assert not result["numpy"]
+    assert result["openblas"] is None
+
+
+def test_public_names_resolve():
+    listed = dir(hellrank)
+    for name in hellrank.__all__:
+        assert getattr(hellrank, name) is not None
+        assert name in listed
+    assert hellrank.__version__ == "0.1.0"
+    assert hellrank.graph.BipartiteGraph is hellrank.BipartiteGraph
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hellrank.no_such_name
+    namespace = {}
+    exec("from hellrank import *", namespace)
+    assert set(hellrank.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize(("given", "final"), [(None, "1"), ("3", "3")])
+def test_cli_makes_openblas_single_threaded_unless_set(given, final):
+    assert fresh_run([], openblas=given)["openblas"] == final
+
+
+def test_cli_leaves_the_environment_alone_after_numpy():
+    # the variable only acts when numpy loads, so setting it later would
+    # only mislead the processes this one starts
+    assert fresh_run([], numpy_first=True)["openblas"] is None
 
 
 @pytest.mark.parametrize(
@@ -63,6 +109,8 @@ def test_kernel_commands_load_no_scipy(argv):
     result = fresh_run(argv)
     assert result["status"] == 0
     assert result["scipy"] == []
+    assert "hellrank.baselines" not in result["hellrank"]
+    assert "hellrank.rankeval" not in result["hellrank"]
 
 
 @pytest.mark.parametrize(
