@@ -74,14 +74,6 @@ def _memo(graph: BipartiteGraph, key, build):
     return graph._memo[key]
 
 
-def _scipy_csr(indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    # imported here, so that only the BFS sweep's commands load scipy
-    import scipy.sparse as sp
-
-    n = len(indptr) - 1
-    return sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-
-
 def _product(graph: BipartiteGraph):
     """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy.
 
@@ -93,18 +85,6 @@ def _product(graph: BipartiteGraph):
     indices, n = graph._indices, len(graph._degree)
     rows = _memo(graph, "rows", lambda: _frozen(np.repeat(np.arange(n), graph._degree)))
     return lambda x: np.bincount(rows, weights=x[indices], minlength=n)
-
-
-def _adjacency(graph: BipartiteGraph) -> sp.csr_matrix:
-    """The graph's CSR as a scipy matrix, for the BFS sweep's block products."""
-
-    def build():
-        A = _scipy_csr(graph._indptr, graph._indices)
-        for a in (A.data, A.indices, A.indptr):
-            _frozen(a)
-        return A
-
-    return _memo(graph, "adjacency", build)
 
 
 def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side) -> dict[str, float]:
@@ -136,11 +116,11 @@ def _bfs(A: sp.csr_matrix, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarr
         levels.append(new)
 
 
-def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
-    """Per node of the symmetric CSR ``A``: the number of other nodes it
-    reaches and the sum of its hop distances to them; with ``betweenness``,
-    also its unweighted betweenness (endpoints excluded, each pair counted
-    once).
+def _sweep(indptr: np.ndarray, indices: np.ndarray, betweenness: bool) -> tuple[np.ndarray, ...]:
+    """Per node of the symmetric CSR ``indptr``, ``indices``: the number of
+    other nodes it reaches and the sum of its hop distances to them; with
+    ``betweenness``, also its unweighted betweenness (endpoints excluded,
+    each pair counted once).
 
     Degree-1 nodes are folded out first (Baglioni, Geraci, Pellegrini &
     Lastres 2012).  A leaf, a node of degree 1 whose neighbor p has degree
@@ -176,21 +156,27 @@ def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
     dependencies are added in source order, one source at a time, so no
     bit of the result depends on how the sources were blocked.
     """
-    n = A.shape[0]
-    degree = np.diff(A.indptr)
+    # imported here, so that only the BFS sweep's commands load scipy
+    import scipy.sparse as sp
+
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
     leaf = degree == 1
-    other = A.indices[A.indptr[:-1][leaf]]
+    other = indices[indptr[:-1][leaf]]
     leaf[leaf] = (degree[other] >= 2) | (other < np.flatnonzero(leaf))
-    parent = A.indices[A.indptr[:-1][leaf]]
+    parent = indices[indptr[:-1][leaf]]
     k = np.bincount(parent, minlength=n)
     kept = ~leaf & (degree > k)
     # the reduced graph: the links between kept nodes, renumbered in order
     source = np.flatnonzero(kept)
-    links = np.repeat(kept, degree) & kept[A.indices]
-    ids = np.cumsum(kept) - 1
-    B = _scipy_csr(np.concatenate([[0], np.cumsum(degree[kept] - k[kept])]), ids[A.indices[links]])
-
     m = len(source)
+    links = np.repeat(kept, degree) & kept[indices]
+    ids = np.cumsum(kept) - 1
+    B = sp.csr_matrix(
+        (np.ones(links.sum()), ids[indices[links]],
+         np.concatenate([[0], np.cumsum(degree[kept] - k[kept])])),
+        shape=(m, m),
+    )
     # per kept node: the nodes it stands for, and its leaves
     weights = np.stack([1.0 + k[kept], k[kept]])
     reached = k.copy()
@@ -227,15 +213,16 @@ def _sweep(A: sp.csr_matrix, betweenness: bool) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _swept(graph: BipartiteGraph, key, adjacency, betweenness: bool) -> tuple[np.ndarray, ...]:
-    """``_sweep(adjacency(), ...)``, memoised on ``graph`` under ``key``.
+def _swept(graph: BipartiteGraph, key, csr, betweenness: bool) -> tuple[np.ndarray, ...]:
+    """``_sweep`` of the CSR of ``csr`` (the graph or one of its projections),
+    memoised on ``graph`` under ``key``.
 
     A caller without ``betweenness`` reads a full sweep if one is there, and
     otherwise runs and keeps one without the dependency accumulation.
     """
-    if betweenness or key in graph._memo:
-        return _memo(graph, key, lambda: _sweep(adjacency(), betweenness=True))
-    return _memo(graph, (key, "hops"), lambda: _sweep(adjacency(), betweenness=False))
+    full = betweenness or key in graph._memo
+    return _memo(graph, key if full else (key, "hops"),
+                 lambda: _sweep(csr._indptr, csr._indices, betweenness=full))
 
 
 def _closeness_values(
@@ -270,7 +257,7 @@ def bipartite_degree(graph: BipartiteGraph, side: Side) -> CentralityScores:
 
 def bipartite_closeness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Geodesic closeness with the two-mode normalizer n_other + 2(n_own - 1)."""
-    reached, total = _swept(graph, "sweep", lambda: _adjacency(graph), False)[:2]
+    reached, total = _swept(graph, "sweep", graph, False)[:2]
     n1, n2 = graph.n1, graph.n2
     numerators = np.repeat([float(n2 + 2 * (n1 - 1)), float(n1 + 2 * (n2 - 1))], [n1, n2])
     values = _closeness_values(reached, total, numerators, "bipartite_closeness")
@@ -289,7 +276,7 @@ def betweenness_ceiling(n_own: int, n_other: int) -> float:
 
 def bipartite_betweenness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Shortest-path betweenness divided by the side-specific ceiling."""
-    raw = _swept(graph, "sweep", lambda: _adjacency(graph), True)[2]
+    raw = _swept(graph, "sweep", graph, True)[2]
     n1, n2 = graph.n1, graph.n2
     bmax = betweenness_ceiling(n1, n2) if side is Side.LEFT else betweenness_ceiling(n2, n1)
     scores = {}
@@ -456,18 +443,14 @@ def projected_centrality(
     proj = project(graph, side)
     nodes = proj.nodes
     n = len(nodes)
-
-    def adjacency():
-        return _scipy_csr(proj._indptr, proj._indices)
-
     if metric == "degree":
         values = np.diff(proj._indptr) / max(n - 1, 1)
     elif metric == "closeness":
-        reached, total = _swept(graph, ("sweep", side), adjacency, False)[:2]
+        reached, total = _swept(graph, ("sweep", side), proj, False)[:2]
         values = _closeness_values(reached, total, np.full(n, float(n - 1)), "projected closeness")
     elif metric == "betweenness":
         denom = (n - 1) * (n - 2) / 2.0
-        raw = _swept(graph, ("sweep", side), adjacency, True)[2]
+        raw = _swept(graph, ("sweep", side), proj, True)[2]
         values = raw / denom if denom > 0 else np.zeros(n)
     else:
         raise ValueError(f"unknown projected metric {metric!r}")

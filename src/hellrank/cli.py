@@ -20,12 +20,13 @@ if "numpy" not in sys.modules:
 
 import argparse
 import json
-from contextlib import contextmanager
+from typing import Callable, TextIO
 
 from .datasets import builtin_names, load_builtin
 from .graph import (
     BipartiteGraph,
     Side,
+    UnipartiteGraph,
     _fixed6_rows,
     csv_field,
     load_edge_list,
@@ -108,43 +109,15 @@ def _load_graph(args) -> BipartiteGraph:
         )
 
 
-@contextmanager
-def _output(args):
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+def _number(kind, ok, requirement: str):
+    """argparse type: a ``kind`` (int or float) for which ``ok`` holds (never
+    nan, since every comparison with nan is False)."""
 
-
-def _int_at_least(low: int):
-    """argparse type: an int >= ``low``."""
-
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
-
-
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
-
-
-def _float_where(ok, requirement: str):
-    """argparse type: a float for which ``ok`` holds (never nan, since every
-    comparison with nan is False)."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
         return value
@@ -152,9 +125,11 @@ def _float_where(ok, requirement: str):
     return parse
 
 
-_damping = _float_where(lambda v: 0 < v < 1, "strictly between 0 and 1")
-_probability = _float_where(lambda v: 0 <= v <= 1, "between 0 and 1")
-_sigmas = _float_where(lambda v: 0 <= v < float("inf"), "finite and >= 0")
+_positive_int = _number(int, lambda v: v >= 1, ">= 1")
+_non_negative_int = _number(int, lambda v: v >= 0, ">= 0")
+_damping = _number(float, lambda v: 0 < v < 1, "strictly between 0 and 1")
+_probability = _number(float, lambda v: 0 <= v <= 1, "between 0 and 1")
+_sigmas = _number(float, lambda v: 0 <= v < float("inf"), "finite and >= 0")
 
 
 def _add_common(
@@ -241,37 +216,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scores_command(args, out) -> None:
+Writer = Callable[[TextIO], None]
+
+
+def _json(payload, indent: int | None = 2) -> Writer:
+    def write(out: TextIO) -> None:
+        json.dump(payload, out, indent=indent)
+        out.write("\n")
+
+    return write
+
+
+def _graph_writer(graph: UnipartiteGraph, fmt: str) -> Writer:
+    """The graph as DOT or as a ``source,target`` CSV edge list."""
+
+    def write(out: TextIO) -> None:
+        if fmt == "dot":
+            graph.to_dot(out)
+        else:
+            out.write("source,target\n")
+            graph.to_edge_list(out, delimiter=",")
+
+    return write
+
+
+def _scores(args) -> Writer:
     graph = _load_graph(args)
     if args.metric == "opsahl":
         from . import baselines
 
         value = baselines.opsahl_cc(graph)
         if args.format == "json":
-            json.dump({"opsahl": value}, out)
-            out.write("\n")
-        else:
-            out.write(f"metric,value\nopsahl,{next(_fixed6_rows([[value]]))}\n")
-        return
+            return _json({"opsahl": value}, indent=None)
+        return lambda out: out.write(f"metric,value\nopsahl,{next(_fixed6_rows([[value]]))}\n")
     names = PER_NODE_METRICS if args.metric == "all" else [args.metric]
     tables = _tables(args, graph, names)
     if args.normalize == "max":
         tables = {n: normalize_scores(t) for n, t in tables.items()}
     if args.metric != "all":
-        table = tables[names[0]]
-        table.to_csv(out) if args.format == "csv" else table.to_json(out)
-        return
+        table = tables[args.metric]
+        return table.to_csv if args.format == "csv" else table.to_json
     labels = sorted(graph.nodes(Side(args.side)))
     if args.format == "json":
-        json.dump(
-            {x: {name: tables[name][x] for name in names} for x in labels}, out, indent=2
-        )
-        out.write("\n")
-    else:
+        return _json({x: {name: tables[name][x] for name in names} for x in labels})
+
+    def write(out: TextIO) -> None:
         out.write("label," + ",".join(names) + "\n")
         rows = _fixed6_rows([[tables[n][x] for n in names] for x in labels])
         for x, row in zip(labels, rows):
             out.write(csv_field(x) + "," + row + "\n")
+
+    return write
 
 
 def _tables(args, graph: BipartiteGraph, names: list[str]) -> dict[str, CentralityScores]:
@@ -295,6 +290,93 @@ def _tables(args, graph: BipartiteGraph, names: list[str]) -> dict[str, Centrali
 def _pair_tables(args, graph):
     tables = _tables(args, graph, [args.metric_a, args.metric_b])
     return tables[args.metric_a], tables[args.metric_b]
+
+
+def _correlate(args) -> Writer:
+    from . import rankeval
+
+    graph = _load_graph(args)
+    n = len(graph.nodes(Side(args.side)))
+    if args.topk > n:
+        raise ValueError(
+            f"--topk must be at most {n}, the {args.side} node count; got {args.topk}"
+        )
+    a, b = _pair_tables(args, graph)
+    tau = rankeval.kendall_tau(
+        rankeval.RankVector.from_scores(a), rankeval.RankVector.from_scores(b)
+    )
+    top_a = rankeval.top_k_vector(a, args.topk)
+    top_b = rankeval.top_k_vector(b, args.topk)
+    try:
+        rho = rankeval.spearman_rho(top_a, top_b)
+    except ValueError:  # a constant indicator, e.g. k = n
+        rho = None
+    return _json(
+        {
+            "metric_a": args.metric_a,
+            "metric_b": args.metric_b,
+            "kendall_tau": tau,
+            "spearman_top_k": rho,
+            "k": args.topk,
+        }
+    )
+
+
+def _sweep_k(args) -> Writer:
+    from . import rankeval
+
+    graph = _load_graph(args)
+    n = len(graph.nodes(Side(args.side)))
+    if args.kmax is not None and args.kmax > n - 1:
+        raise ValueError(
+            f"--kmax must be at most {n - 1}, one less than the {args.side} "
+            f"node count; got {args.kmax}"
+        )
+    a, b = _pair_tables(args, graph)
+    series = rankeval.sweep_k(a, b, args.kmax if args.kmax is not None else n - 1)
+    return lambda out: rankeval.sweep_to_csv(series, out)
+
+
+def _matrix(args, force: bool = False):
+    return distance_matrix(_load_graph(args), Side(args.side), DistanceMode(args.mode),
+                           weighted=args.weighted, force=force, threads=args.threads)
+
+
+def _null_model(args) -> Writer:
+    params = NullModelParams(n1=args.n1, n2=args.n2, p=args.p, k=args.k)
+    moments = expected_distance_moments(params)
+    payload = {
+        "mean": moments.mean,
+        "second_moment": moments.second_moment,
+        "variance": moments.variance,
+        "threshold": similarity_threshold(params, args.sigmas),
+        "sigmas": args.sigmas,
+    }
+    if args.samples:
+        mc = monte_carlo_distance(params, args.samples, args.seed, args.method)
+        payload["monte_carlo"] = {
+            "method": args.method,
+            "samples": args.samples,
+            "seed": args.seed,
+            "mean": mc.mean,
+            "second_moment": mc.second_moment,
+            "variance": mc.variance,
+        }
+    return _json(payload)
+
+
+# command -> handler: loads and computes the result, and returns what writes it
+COMMANDS: dict[str, Callable[..., Writer]] = {
+    "scores": _scores,
+    "distances": lambda args: _matrix(args, force=args.force).to_csv,
+    "correlate": _correlate,
+    "sweep-k": _sweep_k,
+    "threshold-graph": lambda args: _graph_writer(
+        threshold_graph(_matrix(args), args.threshold), args.format
+    ),
+    "null-model": _null_model,
+    "project": lambda args: _graph_writer(project(_load_graph(args), Side(args.side)), args.format),
+}
 
 
 def _check_metric_flags(parser, args, metrics: list[str], given: str) -> None:
@@ -323,113 +405,15 @@ def run(argv: list[str] | None = None) -> int:
         _check_metric_flags(parser, args, [args.metric_a, args.metric_b],
                             f"--metric-a {args.metric_a} --metric-b {args.metric_b}")
     try:
-        with _output(args) as out:
-            if args.command == "scores":
-                _scores_command(args, out)
-            elif args.command == "distances":
-                graph = _load_graph(args)
-                m = distance_matrix(
-                    graph,
-                    Side(args.side),
-                    DistanceMode(args.mode),
-                    weighted=args.weighted,
-                    force=args.force,
-                    threads=args.threads,
-                )
-                m.to_csv(out)
-            elif args.command == "correlate":
-                from . import rankeval
-
-                graph = _load_graph(args)
-                n = len(graph.nodes(Side(args.side)))
-                if args.topk > n:
-                    raise ValueError(
-                        f"--topk must be at most {n}, the {args.side} node count; got {args.topk}"
-                    )
-                a, b = _pair_tables(args, graph)
-                tau = rankeval.kendall_tau(
-                    rankeval.RankVector.from_scores(a), rankeval.RankVector.from_scores(b)
-                )
-                top_a = rankeval.top_k_vector(a, args.topk)
-                top_b = rankeval.top_k_vector(b, args.topk)
-                try:
-                    rho = rankeval.spearman_rho(top_a, top_b)
-                except ValueError:  # a constant indicator, e.g. k = n
-                    rho = None
-                json.dump(
-                    {
-                        "metric_a": args.metric_a,
-                        "metric_b": args.metric_b,
-                        "kendall_tau": tau,
-                        "spearman_top_k": rho,
-                        "k": args.topk,
-                    },
-                    out,
-                    indent=2,
-                )
-                out.write("\n")
-            elif args.command == "sweep-k":
-                from . import rankeval
-
-                graph = _load_graph(args)
-                n = len(graph.nodes(Side(args.side)))
-                if args.kmax is not None and args.kmax > n - 1:
-                    raise ValueError(
-                        f"--kmax must be at most {n - 1}, one less than the {args.side} "
-                        f"node count; got {args.kmax}"
-                    )
-                a, b = _pair_tables(args, graph)
-                k_max = args.kmax if args.kmax is not None else n - 1
-                rankeval.sweep_to_csv(rankeval.sweep_k(a, b, k_max), out)
-            elif args.command == "threshold-graph":
-                graph = _load_graph(args)
-                m = distance_matrix(
-                    graph,
-                    Side(args.side),
-                    DistanceMode(args.mode),
-                    weighted=args.weighted,
-                    threads=args.threads,
-                )
-                tg = threshold_graph(m, args.threshold)
-                if args.format == "dot":
-                    tg.to_dot(out)
-                else:
-                    out.write("source,target\n")
-                    tg.to_edge_list(out, delimiter=",")
-            elif args.command == "null-model":
-                params = NullModelParams(n1=args.n1, n2=args.n2, p=args.p, k=args.k)
-                moments = expected_distance_moments(params)
-                payload = {
-                    "mean": moments.mean,
-                    "second_moment": moments.second_moment,
-                    "variance": moments.variance,
-                    "threshold": similarity_threshold(params, args.sigmas),
-                    "sigmas": args.sigmas,
-                }
-                if args.samples:
-                    mc = monte_carlo_distance(params, args.samples, args.seed, args.method)
-                    payload["monte_carlo"] = {
-                        "method": args.method,
-                        "samples": args.samples,
-                        "seed": args.seed,
-                        "mean": mc.mean,
-                        "second_moment": mc.second_moment,
-                        "variance": mc.variance,
-                    }
-                json.dump(payload, out, indent=2)
-                out.write("\n")
-            elif args.command == "project":
-                graph = _load_graph(args)
-                proj = project(graph, Side(args.side))
-                if args.format == "dot":
-                    proj.to_dot(out)
-                else:
-                    out.write("source,target\n")
-                    proj.to_edge_list(out, delimiter=",")
-    except OSError as exc:
-        print(f"hellrank: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, RuntimeError, MemoryError) as exc:
+        # --output is opened only once the result is computed, so a failed
+        # run leaves an existing file as it was
+        write = COMMANDS[args.command](args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as out:
+                write(out)
+        else:
+            write(sys.stdout)
+    except (OSError, ValueError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"hellrank: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
@@ -88,8 +89,8 @@ class BipartiteGraph:
             if len(weights) != len(edges):
                 raise ValueError("weights must match edges one-to-one")
             for w in weights:
-                if not w > 0:
-                    raise ValueError(f"link weights must be > 0, got {w}")
+                if not 0 < w < math.inf:
+                    raise ValueError(f"link weights must be finite and > 0, got {w}")
 
         left: dict[str, int] = {}
         right: dict[str, int] = {}
@@ -110,9 +111,17 @@ class BipartiteGraph:
             # a duplicate's weights add up in line order from 0.0, and 0.0 + w == w
             both = np.concatenate((weights, weights))
             self._weights = _frozen(np.bincount(entry, weights=both, minlength=len(self._indices)))
+            overflow = np.flatnonzero(self._weights == math.inf)
+            if len(overflow):
+                k = overflow[0]  # a left row's entry: those come first
+                u = self._left[np.searchsorted(self._indptr, k, side="right") - 1]
+                v = self._right[self._indices[k] - n1]
+                raise ValueError(
+                    f"link weights must be finite: the repeats of {u!r} -- {v!r} sum to inf"
+                )
         # Structures derived from the links and built on first use (the
-        # baselines' scipy adjacency, row ids and BFS sweeps).  The links never
-        # change, so an entry never goes stale; it lives as long as the graph.
+        # baselines' row ids and BFS sweeps).  The links never change, so an
+        # entry never goes stale; it lives as long as the graph.
         self._memo: dict = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -437,8 +446,10 @@ def load_edge_list(
                 raise EdgeListParseError(
                     lineno, f"non-numeric weight {fields[2]!r}"
                 ) from None
-            if not w > 0:
-                raise EdgeListParseError(lineno, f"weight must be > 0, got {w}")
+            if not 0 < w < math.inf:
+                raise EdgeListParseError(
+                    lineno, f"weight must be finite and > 0, got {fields[2]!r}"
+                )
             weights.append(w)
     return BipartiteGraph(
         edges,

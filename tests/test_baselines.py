@@ -475,12 +475,11 @@ def mixed_fold_graph():
     return BipartiteGraph(edges, isolated_left=["z"], isolated_right=["y"])
 
 
-def fold_adjacencies(graph):
-    """The sweep's scipy adjacency of the graph and of its two projections."""
-    yield baselines._adjacency(graph)
+def fold_csrs(graph):
+    """The graph and its two projections, whose CSRs the sweep reads."""
+    yield graph
     for side in (Side.LEFT, Side.RIGHT):
-        proj = project(graph, side)
-        yield baselines._scipy_csr(proj._indptr, proj._indices)
+        yield project(graph, side)
 
 
 def kept_nodes(G):
@@ -500,16 +499,19 @@ def kept_nodes(G):
 class TestDegreeOneFold:
     def test_hop_counts_equal_the_unfolded_sweep(self):
         for g in fold_graphs():
-            for A in fold_adjacencies(g):
+            for csr in fold_csrs(g):
+                A = scipy_adjacency(csr)
                 for betweenness in (False, True):
-                    mine, ref = baselines._sweep(A, betweenness), unfolded_sweep(A, betweenness)
+                    mine = baselines._sweep(csr._indptr, csr._indices, betweenness)
+                    ref = unfolded_sweep(A, betweenness)
                     assert np.array_equal(mine[0], ref[0])
                     assert np.array_equal(mine[1], ref[1])
 
     def test_betweenness_matches_unfolded_sweep_and_networkx(self):
         for g in fold_graphs():
-            for A in fold_adjacencies(g):
-                bc = baselines._sweep(A, True)[2]
+            for csr in fold_csrs(g):
+                A = scipy_adjacency(csr)
+                bc = baselines._sweep(csr._indptr, csr._indices, True)[2]
                 np.testing.assert_allclose(bc, unfolded_sweep(A, True)[2], rtol=1e-12, atol=0)
                 raw = nx.betweenness_centrality(nx.from_scipy_sparse_array(A), normalized=False)
                 np.testing.assert_allclose(bc, [raw[v] for v in range(A.shape[0])],
@@ -524,18 +526,20 @@ class TestDegreeOneFold:
             return bfs(A, lo, hi)
 
         monkeypatch.setattr(baselines, "_bfs", counted)
-        A = baselines._adjacency(mixed_fold_graph())
-        baselines._sweep(A, True)
-        assert A.shape[0] == 21 and sum(columns) == 8
+        g = mixed_fold_graph()
+        baselines._sweep(g._indptr, g._indices, True)
+        assert len(g._degree) == 21 and sum(columns) == 8
         columns.clear()
-        reached, total, bc = baselines._sweep(baselines._adjacency(k2_graph()), True)
+        g = k2_graph()
+        reached, total, bc = baselines._sweep(g._indptr, g._indices, True)
         assert columns == []  # every node is a leaf or dropped
         assert (reached == 1).all() and (total == 1).all() and (bc == 0).all()
         for g in fold_graphs():
-            for A in fold_adjacencies(g):
+            for csr in fold_csrs(g):
                 columns.clear()
-                baselines._sweep(A, True)
-                assert sum(columns) == len(kept_nodes(nx.from_scipy_sparse_array(A)))
+                baselines._sweep(csr._indptr, csr._indices, True)
+                G = nx.from_scipy_sparse_array(scipy_adjacency(csr))
+                assert sum(columns) == len(kept_nodes(G))
 
 
 def latapy_graphs():
@@ -672,9 +676,9 @@ class TestSweepMemo:
         calls = []
         sweep = baselines._sweep
 
-        def counted(A, betweenness):
+        def counted(indptr, indices, betweenness):
             calls.append(betweenness)
-            return sweep(A, betweenness)
+            return sweep(indptr, indices, betweenness)
 
         monkeypatch.setattr(baselines, "_sweep", counted)
         with pytest.warns(DisconnectedGraphWarning), contextlib.redirect_stdout(io.StringIO()):
@@ -695,9 +699,9 @@ class TestSweepMemo:
         calls = []
         sweep = baselines._sweep
 
-        def counted(A, betweenness):
+        def counted(indptr, indices, betweenness):
             calls.append(betweenness)
-            return sweep(A, betweenness)
+            return sweep(indptr, indices, betweenness)
 
         def in_given_order(args, graph, names):
             return {n: cli.compute_metric(graph, n, Side(args.side), DistanceMode(args.mode),
@@ -718,14 +722,13 @@ class TestSweepMemo:
 
     def test_memoised_arrays_are_read_only(self):
         g = BipartiteGraph(giant_and_small_components(10))
-        A = baselines._adjacency(g)
         pagerank(g)
-        arrays = [g._indptr, g._indices, A.data, A.indices, A.indptr, g._memo["rows"]]
+        arrays = [g._indptr, g._indices, g._memo["rows"]]
         with pytest.warns(DisconnectedGraphWarning):
             bipartite_closeness(g, Side.LEFT)
         bipartite_betweenness(g, Side.LEFT)
         arrays += [a for key, entry in g._memo.items() if "sweep" in key for a in entry]
-        assert len(arrays) == 2 + 3 + 1 + 2 + 3
+        assert len(arrays) == 2 + 1 + 2 + 3
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 1

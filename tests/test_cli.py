@@ -142,6 +142,16 @@ class TestDistances:
         assert out == expected
 
 
+@pytest.mark.parametrize("command", ["scores", "distances", "threshold-graph"])
+def test_non_finite_weight_exit_1(capsys, tmp_path, command):
+    path = tmp_path / "weighted.txt"
+    path.write_text("a x 1\nb x 2\na y 1e309\n")
+    assert run([command, "--input", str(path), "--weighted"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hellrank: line 3: weight must be finite and > 0, got '1e309'\n"
+
+
 class TestCorrelate:
     def test_davis_vs_degree(self, capsys):
         out = run_ok(capsys, ["correlate", "--dataset", "davis", "--metric-b", "degree2"])
@@ -308,6 +318,32 @@ class TestErrorsAndDeterminism:
     def test_missing_file_exit_1(self, capsys):
         assert run(["scores", "--input", "/nonexistent/file.tsv"]) == 1
         assert "hellrank:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scores", "--input", "{missing}"],
+            ["project", "--input", "{missing}"],
+            ["distances", "--input", "{malformed}"],
+            # davis has 18 women on the left
+            ["correlate", "--dataset", "davis", "--metric-b", "degree2", "--topk", "100"],
+            ["sweep-k", "--dataset", "davis", "--metric-b", "degree2", "--kmax", "18"],
+            ["threshold-graph", "--dataset", "davis", "--threshold", "nan"],
+            ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "11"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_run_leaves_output_file_as_it_was(self, capsys, tmp_path, argv):
+        malformed = tmp_path / "malformed.tsv"
+        malformed.write_text("A\t1\nB\t2\textra\n")
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"an earlier result\n")
+        paths = {"missing": tmp_path / "missing.tsv", "malformed": malformed}
+        argv = [a.format(**paths) for a in argv]
+        assert run(argv + ["--output", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("hellrank: ")
+        assert dest.read_bytes() == b"an earlier result\n"
 
     def test_unknown_metric_usage_error(self, fig1_file):
         with pytest.raises(SystemExit) as err:

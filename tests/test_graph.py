@@ -57,6 +57,13 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="expected 3 fields"):
             load_edge_list(["a 1"], has_weights=True)
 
+    @pytest.mark.parametrize("text", ["inf", "1e309", "nan", "-inf", "Infinity"])
+    def test_non_finite_weight_names_its_line(self, text):
+        # 1e309 parses as inf
+        with pytest.raises(EdgeListParseError, match="finite and > 0") as err:
+            load_edge_list(["a 1 2", f"b 1 {text}"], has_weights=True)
+        assert err.value.lineno == 2
+
     def test_isolated_nodes(self):
         g = load_edge_list(["a 1"], isolated_left=["z"], isolated_right=["9"])
         assert g.degree("z", Side.LEFT) == 0
@@ -106,6 +113,12 @@ class TestBipartiteGraph:
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="> 0"):
             BipartiteGraph([("a", "1")], weights=[-1.0])
+        for w in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                BipartiteGraph([("a", "1")], weights=[w])
+        # each weight is finite, their sum is not
+        with pytest.raises(ValueError, match="'b' -- '2' sum to inf"):
+            BipartiteGraph([("a", "1"), ("b", "2"), ("b", "2")], weights=[1.0, 1e308, 1e308])
         with pytest.raises(ValueError, match="one-to-one"):
             BipartiteGraph([("a", "1")], weights=[1.0, 2.0])
         with pytest.raises(ValueError, match="no link weights"):

@@ -4,10 +4,13 @@ import io
 import math
 import os
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hellrank import (
     BipartiteGraph,
@@ -448,3 +451,63 @@ class TestThresholdGraph:
             got = threshold_graph(m, threshold)
             assert got == want
             assert got.num_edges == len(ii)
+
+
+# -- labels and side order carry no weight -------------------------------------
+
+# Short labels over an alphabet with NUL, non-ASCII, quotes and commas: a
+# relabelling changes the sorted order of a node's neighbors and so the
+# order in which a weighted node's link weights are summed.
+LABELS = st.text(st.sampled_from(["a", "B", "\x00", "é", "😀", '"', ",", " "]), max_size=3)
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """(links (i, j) between n1 left and n2 right nodes, their weights or
+    None, one new label per node of each side, a shuffle of the links)."""
+    n1, n2 = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    links = draw(st.lists(pair, max_size=25))
+    size = len(links)
+    weights = draw(st.none() | st.lists(st.floats(0.01, 100), min_size=size, max_size=size))
+    names = [draw(st.lists(LABELS, min_size=n, max_size=n, unique=True)) for n in (n1, n2)]
+    return links, weights, names, draw(st.permutations(range(size)))
+
+
+def assert_same_side(g, side, h, h_side, relabel):
+    """hellrank and distance_matrix of g's side equal those of h's side, node
+    x of g being node relabel[x] of h, within 1e-12 relative."""
+    for weighted in sorted({False, g.is_weighted}):
+        for mode in MODES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateDistancesWarning)
+                a, b = (hellrank(x, s, mode, weighted=weighted) for x, s in ((g, side), (h, h_side)))
+            labels = a.labels
+            np.testing.assert_allclose([b[relabel[x]] for x in labels], [a[x] for x in labels],
+                                       rtol=1e-12, atol=0)
+            m, mm = (distance_matrix(x, s, mode, weighted=weighted) for x, s in ((g, side), (h, h_side)))
+            index = {label: i for i, label in enumerate(mm.labels)}
+            at = [index[relabel[x]] for x in m.labels]
+            np.testing.assert_allclose(mm.values[np.ix_(at, at)], m.values, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_graphs())
+def test_scores_and_distances_ignore_labels_and_side_order(case):
+    links, weights, (new_left, new_right), order = case
+    left = [f"L{i}" for i in range(len(new_left))]
+    right = [f"R{j}" for j in range(len(new_right))]
+    g = BipartiteGraph([(left[i], right[j]) for i, j in links], weights, left, right)
+    # an injective relabelling of each side, the lines in another order
+    relabelled = BipartiteGraph(
+        [(new_left[links[k][0]], new_right[links[k][1]]) for k in order],
+        weights and [weights[k] for k in order],
+        new_left[::-1],
+        new_right[::-1],
+    )
+    # left and right swapped
+    swapped = BipartiteGraph([(right[j], left[i]) for i, j in links], weights, right, left)
+    relabel = {Side.LEFT: dict(zip(left, new_left)), Side.RIGHT: dict(zip(right, new_right))}
+    for side in Side:
+        assert_same_side(g, side, relabelled, side, relabel[side])
+        assert_same_side(g, side, swapped, side.other, {x: x for x in g.nodes(side)})
