@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import graph as graph_module
-from .graph import BipartiteGraph, Side, _co_occurrences, _frozen, _side_range, project
+from .graph import BipartiteGraph, Side, _co_occurrences, _side_range, project
 from .scores import CentralityScores
 
 if TYPE_CHECKING:
@@ -63,17 +63,6 @@ class PageRankConfig:
 
 # -- adjacency and breadth-first search --------------------------------------
 
-def _memo(graph: BipartiteGraph, key, build):
-    """``build()``, computed once per graph and kept on it under ``key``.
-
-    A graph never changes, so an entry is never invalidated.  Two threads
-    that miss at once both build the same value, and either one is kept.
-    """
-    if key not in graph._memo:
-        graph._memo[key] = build()
-    return graph._memo[key]
-
-
 def _product(graph: BipartiteGraph):
     """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy.
 
@@ -83,7 +72,7 @@ def _product(graph: BipartiteGraph):
     pairwise.
     """
     indices, n = graph._indices, len(graph._degree)
-    rows = _memo(graph, "rows", lambda: _frozen(np.repeat(np.arange(n), graph._degree)))
+    rows = np.repeat(np.arange(n), graph._degree)
     return lambda x: np.bincount(rows, weights=x[indices], minlength=n)
 
 
@@ -91,6 +80,85 @@ def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side) -> dict[str,
     """{label: value} for one side's nodes, ``values`` in the CSR's row order."""
     lo, hi = _side_range(graph, side)
     return dict(zip(graph.nodes(side), values[lo:hi].tolist()))
+
+
+def _fold(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(leaf, parent, k, kept, ptr, col) of the symmetric CSR ``indptr``,
+    ``indices`` with its degree-1 nodes folded out (Baglioni, Geraci,
+    Pellegrini & Lastres 2012).
+
+    A leaf, a node of degree 1 whose neighbor p has degree 2 or more, or
+    degree 1 and a lower index (the later end of a K2 component), is removed
+    and counted in k_p, the leaves folded into p; ``parent`` lists the
+    leaves' p in node order.  A node left with no neighbor (isolated, a star
+    center whose neighbors were all leaves, or the earlier end of a K2) is
+    dropped as well; what is kept is every other node.  Every shortest path
+    to or from a leaf runs through its parent, so the leaves need no BFS of
+    their own, and a kept node stands for itself and its k leaves.  ``ptr``,
+    ``col`` is the reduced graph, the CSR of the links between kept nodes,
+    renumbered in order; each of its rows is non-empty, since a node whose
+    only neighbors are its leaves is dropped.
+    """
+    degree = np.diff(indptr)
+    leaf = degree == 1
+    other = indices[indptr[:-1][leaf]]
+    leaf[leaf] = (degree[other] >= 2) | (other < np.flatnonzero(leaf))
+    parent = indices[indptr[:-1][leaf]]
+    k = np.bincount(parent, minlength=len(degree))
+    kept = ~leaf & (degree > k)
+    links = np.repeat(kept, degree) & kept[indices]
+    ids = np.cumsum(kept) - 1
+    ptr = np.concatenate([[0], np.cumsum(degree[kept] - k[kept])])
+    return leaf, parent, k, kept, ptr, ids[indices[links]]
+
+
+def _hops(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node of the symmetric CSR ``indptr``, ``indices``: the number of
+    other nodes it reaches and the sum of its hop distances to them.
+
+    A multi-source BFS over the reduced graph of ``_fold`` carries 64
+    sources per ``uint64`` word, one bit each (Then et al., "The More the
+    Merrier: Efficient Multi-Source Graph Traversal", VLDB 2014).  A level
+    ORs each node's neighbors' frontier words and keeps the bits not seen
+    before.  The graph is undirected, so a kept source s that reaches a kept
+    node t at hop l is counted at t: it stands for 1 + k_s nodes, s at hop l
+    and its k_s leaves at hop l + 1.  A word holds sources of one k, so each
+    of its bits weighs the same.  A kept node also reaches its own k leaves
+    at hop 1, a leaf of p reaches what p reaches (R_p nodes, itself out and
+    p in) one hop further, so its distance sum is total_p + R_p - 1, and a
+    dropped node with k leaves reaches them at hop 1.  These are integer
+    counts, so no blocking changes a bit.
+    """
+    leaf, parent, k, kept, ptr, col = _fold(indptr, indices)
+    # the kept sources in order of k, 64 to a word and one k per word
+    source = np.argsort(k[kept], kind="stable")
+    k_source = k[kept][source]
+    place = np.arange(len(source)) - np.searchsorted(k_source, k_source)  # among sources of its k
+    word = np.cumsum(place % 64 == 0) - 1
+    weights = np.stack([1 + k_source, k_source])[:, place % 64 == 0]  # per word: nodes, leaves
+    m, words = len(source), weights.shape[1]
+    found = np.stack([k[kept], k[kept]])  # per kept node: reached, distance sum; own leaves at hop 1
+    step = max(1, graph_module._BLOCK_ELEMENTS // max(len(col), 1))  # words per block
+    for lo in range(0, words, step):
+        hi = min(lo + step, words)
+        mine = (word >= lo) & (word < hi)
+        frontier = np.zeros((m, hi - lo), dtype=np.uint64)
+        frontier[source[mine], word[mine] - lo] = np.uint64(1) << (place[mine] % 64).astype(np.uint64)
+        unseen = ~frontier
+        for level in range(1, m + 1):  # a BFS of m nodes ends within m levels
+            # take(axis=0) gathers whole rows several times faster than frontier[col]
+            frontier = np.bitwise_or.reduceat(frontier.take(col, axis=0), ptr[:-1], axis=0) & unseen
+            if not frontier.any():
+                break
+            unseen ^= frontier
+            bits = np.unpackbits(frontier.view(np.uint8), axis=1).reshape(m, hi - lo, 64)
+            nodes, leaves = weights[:, lo:hi] @ bits.sum(axis=2, dtype=np.uint8).T
+            found += [nodes, level * nodes + leaves]  # a leaf is one hop past its source
+    reached, total = np.stack([k, k])  # a dropped node reaches its k leaves at hop 1
+    reached[kept], total[kept] = found
+    reached[leaf] = reached[parent]
+    total[leaf] = total[parent] + reached[parent] - 1
+    return reached, total
 
 
 def _bfs(A: sp.csr_matrix, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -116,120 +184,57 @@ def _bfs(A: sp.csr_matrix, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarr
         levels.append(new)
 
 
-def _sweep(indptr: np.ndarray, indices: np.ndarray, betweenness: bool) -> tuple[np.ndarray, ...]:
-    """Per node of the symmetric CSR ``indptr``, ``indices``: the number of
-    other nodes it reaches and the sum of its hop distances to them; with
-    ``betweenness``, also its unweighted betweenness (endpoints excluded,
-    each pair counted once).
+def _sweep(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Per node of the symmetric CSR ``indptr``, ``indices``: its unweighted
+    betweenness (endpoints excluded, each pair counted once).
 
-    Degree-1 nodes are folded out first (Baglioni, Geraci, Pellegrini &
-    Lastres 2012).  A leaf, a node of degree 1 whose neighbor p has degree
-    2 or more, or degree 1 and a lower index (the later end of a K2
-    component), is removed and counted in k_p, the leaves folded into p.  A
-    node left with no neighbor (isolated, a star center whose neighbors were
-    all leaves, or the earlier end of a K2) is dropped as well; what is kept
-    is every other node.  Every shortest path to or from a leaf runs
-    through its parent, so the leaves need no BFS of their own:
+    The BFS runs over the reduced graph of ``_fold``, one block of kept
+    sources at a time.  It sums Brandes (2001) dependencies, accumulated
+    level by level from the deepest: a kept node at level l-1 collects
+    sigma_v / sigma_t * (1 + k_t + delta_t) from each neighbor t at level l,
+    since t's leaves are targets reached only through t.  A leaf has its
+    parent's dependencies, so each source's column is added 1 + k_s times.
+    That counts every pair of ends outside v's own leaves.  The pairs with
+    an end among them are added in closed form after halving: v lies on
+    every shortest path from one of its leaves to the R_v - k_v other nodes
+    it reaches, k_v (R_v - k_v) pairs with R_v from ``_hops``, and between
+    two of its leaves, k_v (k_v - 1) / 2 pairs.  A leaf lies inside no
+    shortest path.  The result is the unfolded sweep's up to the order in
+    which floats are added.
 
-    - a kept node v stands for itself and its k_v leaves, weight 1 + k_v.
-      It reaches its k_v leaves at hop 1, and each kept t that it reaches
-      at hop l, plus t's k_t leaves at hop l + 1;
-    - a leaf of p reaches what p reaches: R_p nodes (itself out, p in), at
-      one hop more than p, so its distance sum is total_p + R_p - 1;
-    - a dropped node with k leaves reaches them at hop 1.
-
-    These are integer counts, so closeness is exact.  Betweenness sums
-    Brandes (2001) dependencies, accumulated level by level from the
-    deepest: a kept node at level l-1 collects sigma_v / sigma_t *
-    (1 + k_t + delta_t) from each neighbor t at level l, since t's leaves
-    are targets reached only through t.  A leaf has its parent's
-    dependencies, so each source's column is added 1 + k_s times.  That
-    counts every pair of ends outside v's own leaves.  The pairs with an
-    end among them are added in closed form after halving: v lies on every
-    shortest path from one of its leaves to the R_v - k_v other nodes it
-    reaches, k_v (R_v - k_v) pairs, and between two of its leaves,
-    k_v (k_v - 1) / 2 pairs.  A leaf lies inside no shortest path.  The
-    result is the unfolded sweep's up to the order in which floats are
-    added.
-
-    One BFS per block of kept sources gives all three.  Each source's
-    dependencies are added in source order, one source at a time, so no
-    bit of the result depends on how the sources were blocked.
+    Each source's dependencies are added in source order, one source at a
+    time, so no bit of the result depends on how the sources were blocked.
     """
-    # imported here, so that only the BFS sweep's commands load scipy
+    # imported here, so that only betweenness loads scipy
     import scipy.sparse as sp
 
-    n = len(indptr) - 1
-    degree = np.diff(indptr)
-    leaf = degree == 1
-    other = indices[indptr[:-1][leaf]]
-    leaf[leaf] = (degree[other] >= 2) | (other < np.flatnonzero(leaf))
-    parent = indices[indptr[:-1][leaf]]
-    k = np.bincount(parent, minlength=n)
-    kept = ~leaf & (degree > k)
-    # the reduced graph: the links between kept nodes, renumbered in order
-    source = np.flatnonzero(kept)
-    m = len(source)
-    links = np.repeat(kept, degree) & kept[indices]
-    ids = np.cumsum(kept) - 1
-    B = sp.csr_matrix(
-        (np.ones(links.sum()), ids[indices[links]],
-         np.concatenate([[0], np.cumsum(degree[kept] - k[kept])])),
-        shape=(m, m),
-    )
-    # per kept node: the nodes it stands for, and its leaves
-    weights = np.stack([1.0 + k[kept], k[kept]])
-    reached = k.copy()
-    total = k.copy()
+    _, _, k, kept, ptr, col = _fold(indptr, indices)
+    m = len(ptr) - 1
+    B = sp.csr_matrix((np.ones(len(col)), col, ptr), shape=(m, m))
+    weight = 1.0 + k[kept]
     bc = np.zeros(m)
     step = max(1, graph_module._BLOCK_ELEMENTS // max(m, 1))  # the budget _co_occurrences reads
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         levels, sigma = _bfs(B, lo, hi)
-        for level in range(1, len(levels)):
-            # a product counts a level's nodes several times faster than .sum(axis=0)
-            nodes, leaves = (weights @ levels[level]).astype(np.int64)
-            reached[source[lo:hi]] += nodes
-            total[source[lo:hi]] += level * nodes + leaves
-        if not betweenness:
-            continue
         divisor = np.where(sigma > 0, sigma, 1.0)
         delta = np.zeros(sigma.shape)
         for level in range(len(levels) - 1, 1, -1):
-            share = (weights[0][:, None] + delta) * levels[level] / divisor
+            share = (weight[:, None] + delta) * levels[level] / divisor
             delta += levels[level - 1] * sigma * (B @ share)
-        for column, times in zip(delta.T, 1 + k[source[lo:hi]]):
+        for column, times in zip(delta.T, 1 + k[kept][lo:hi]):
             for _ in range(times):
                 bc += column
-    reached[leaf] = reached[parent]
-    total[leaf] = total[parent] + reached[parent] - 1
-    out = [reached, total]
-    if betweenness:
-        halved = np.zeros(n)
-        halved[kept] = bc / 2.0
-        out.append(halved + (k * (reached - k) + k * (k - 1) // 2))
-    for values in out:
-        _frozen(values)
-    return tuple(out)
+    halved = np.zeros(len(k))
+    halved[kept] = bc / 2.0
+    reached = _hops(indptr, indices)[0]
+    return halved + (k * (reached - k) + k * (k - 1) // 2)
 
 
-def _swept(graph: BipartiteGraph, key, csr, betweenness: bool) -> tuple[np.ndarray, ...]:
-    """``_sweep`` of the CSR of ``csr`` (the graph or one of its projections),
-    memoised on ``graph`` under ``key``.
-
-    A caller without ``betweenness`` reads a full sweep if one is there, and
-    otherwise runs and keeps one without the dependency accumulation.
-    """
-    full = betweenness or key in graph._memo
-    return _memo(graph, key if full else (key, "hops"),
-                 lambda: _sweep(csr._indptr, csr._indices, betweenness=full))
-
-
-def _closeness_values(
-    reached: np.ndarray, total: np.ndarray, numerators: np.ndarray, warn_label: str
-) -> np.ndarray:
-    """normalizer / distance-sum per node, with reachable-fraction scaling
-    when the graph is disconnected."""
+def _closeness_values(csr, numerators: np.ndarray, warn_label: str) -> np.ndarray:
+    """normalizer / distance-sum per node of the CSR of ``csr`` (the graph or
+    a projection), with reachable-fraction scaling when it is disconnected."""
+    reached, total = _hops(csr._indptr, csr._indices)
     n = len(reached)
     if (reached < n - 1).any():
         warnings.warn(
@@ -257,10 +262,9 @@ def bipartite_degree(graph: BipartiteGraph, side: Side) -> CentralityScores:
 
 def bipartite_closeness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Geodesic closeness with the two-mode normalizer n_other + 2(n_own - 1)."""
-    reached, total = _swept(graph, "sweep", graph, False)[:2]
     n1, n2 = graph.n1, graph.n2
     numerators = np.repeat([float(n2 + 2 * (n1 - 1)), float(n1 + 2 * (n2 - 1))], [n1, n2])
-    values = _closeness_values(reached, total, numerators, "bipartite_closeness")
+    values = _closeness_values(graph, numerators, "bipartite_closeness")
     return CentralityScores(side=side, metric="closeness2", scores=_on_side(graph, values, side))
 
 
@@ -276,7 +280,7 @@ def betweenness_ceiling(n_own: int, n_other: int) -> float:
 
 def bipartite_betweenness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Shortest-path betweenness divided by the side-specific ceiling."""
-    raw = _swept(graph, "sweep", graph, True)[2]
+    raw = _sweep(graph._indptr, graph._indices)
     n1, n2 = graph.n1, graph.n2
     bmax = betweenness_ceiling(n1, n2) if side is Side.LEFT else betweenness_ceiling(n2, n1)
     scores = {}
@@ -446,11 +450,10 @@ def projected_centrality(
     if metric == "degree":
         values = np.diff(proj._indptr) / max(n - 1, 1)
     elif metric == "closeness":
-        reached, total = _swept(graph, ("sweep", side), proj, False)[:2]
-        values = _closeness_values(reached, total, np.full(n, float(n - 1)), "projected closeness")
+        values = _closeness_values(proj, np.full(n, float(n - 1)), "projected closeness")
     elif metric == "betweenness":
         denom = (n - 1) * (n - 2) / 2.0
-        raw = _swept(graph, ("sweep", side), proj, True)[2]
+        raw = _sweep(proj._indptr, proj._indices)
         values = raw / denom if denom > 0 else np.zeros(n)
     else:
         raise ValueError(f"unknown projected metric {metric!r}")

@@ -12,9 +12,8 @@ import sys
 
 # When numpy loads, OpenBLAS reads this variable once and starts one worker
 # thread per extra core.  Nothing here uses that pool: the program's own
-# parallelism is --threads, and its one BLAS call, the BFS sweep's level
-# count, is a small product that is exact on integers at any thread count.
-# A value the user set wins.
+# parallelism is --threads, and it makes no BLAS call.  A value the user set
+# wins.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -270,21 +269,11 @@ def _scores(args) -> Writer:
 
 
 def _tables(args, graph: BipartiteGraph, names: list[str]) -> dict[str, CentralityScores]:
-    """{name: scores} of each metric in ``names``.
-
-    Betweenness runs before the closeness of the same graph: the sweep it
-    leaves on the graph holds closeness's hop counts too.
-    """
+    """{name: scores} of each metric in ``names``, computed in that order."""
     side = Side(args.side)
     mode = DistanceMode(args.mode)
-    tables = {}
-    for name in names:
-        for n in (name.replace("closeness", "betweenness"), name):
-            if n in names and n not in tables:
-                tables[n] = compute_metric(
-                    graph, n, side, mode, args.damping, args.threads, args.weighted
-                )
-    return tables
+    return {n: compute_metric(graph, n, side, mode, args.damping, args.threads, args.weighted)
+            for n in dict.fromkeys(names)}
 
 
 def _pair_tables(args, graph):

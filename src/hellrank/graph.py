@@ -119,10 +119,13 @@ class BipartiteGraph:
                 raise ValueError(
                     f"link weights must be finite: the repeats of {u!r} -- {v!r} sum to inf"
                 )
-        # Structures derived from the links and built on first use (the
-        # baselines' row ids and BFS sweeps).  The links never change, so an
-        # entry never goes stale; it lives as long as the graph.
-        self._memo: dict = {}
+            # a node's mass, and in the raw kernel the sum of two nodes' masses,
+            # stay finite; minlength gives argmax an entry when there is no link
+            mass = np.bincount(np.concatenate((iu, iv + n1)), weights=both, minlength=1)
+            i = int(np.argmax(mass))  # the heaviest node
+            if mass[i] > np.finfo(np.float64).max / 2:
+                node = f"left node {self._left[i]!r}" if i < n1 else f"right node {self._right[i - n1]!r}"
+                raise ValueError(f"the link weights of {node} sum to {mass[i]:g}, above float max / 2")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -214,7 +217,7 @@ class BipartiteGraph:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # shared by the graph and every memo entry
+    a.flags.writeable = False  # shared by every reader of the graph
     return a
 
 
@@ -240,7 +243,9 @@ def _side_range(graph: BipartiteGraph, side: Side) -> tuple[int, int]:
 
 
 # Work per vectorized block: the elements of one (nodes x sources) BFS array
-# in the baselines' sweep, and the 2-hop walks of one run of _co_occurrences.
+# in the baselines' betweenness sweep, the words of one gathered (links x
+# words) frontier in their hop count, and the 2-hop walks of one run of
+# _co_occurrences.
 # Kept small: on a 1,300-node graph, 8x the budget raised the peak RSS of
 # `scores --metric all` by about 4.5 MB (7%) and ran no faster.
 _BLOCK_ELEMENTS = 8192

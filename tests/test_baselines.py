@@ -7,6 +7,8 @@ import sys
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from networkx.algorithms import bipartite as nxb
 
 from hellrank import (
@@ -25,11 +27,10 @@ from hellrank import (
     project,
     projected_centrality,
 )
-from hellrank import baselines, cli
+from hellrank import baselines
 from hellrank import graph as graph_module
 from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
 from hellrank.cli import run
-from hellrank.hellinger import DistanceMode
 
 from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite, unfolded_sweep
 from test_imports import SRC, fresh_run
@@ -500,18 +501,16 @@ class TestDegreeOneFold:
     def test_hop_counts_equal_the_unfolded_sweep(self):
         for g in fold_graphs():
             for csr in fold_csrs(g):
-                A = scipy_adjacency(csr)
-                for betweenness in (False, True):
-                    mine = baselines._sweep(csr._indptr, csr._indices, betweenness)
-                    ref = unfolded_sweep(A, betweenness)
-                    assert np.array_equal(mine[0], ref[0])
-                    assert np.array_equal(mine[1], ref[1])
+                mine = baselines._hops(csr._indptr, csr._indices)
+                ref = unfolded_sweep(scipy_adjacency(csr), False)
+                assert np.array_equal(mine[0], ref[0])
+                assert np.array_equal(mine[1], ref[1])
 
     def test_betweenness_matches_unfolded_sweep_and_networkx(self):
         for g in fold_graphs():
             for csr in fold_csrs(g):
                 A = scipy_adjacency(csr)
-                bc = baselines._sweep(csr._indptr, csr._indices, True)[2]
+                bc = baselines._sweep(csr._indptr, csr._indices)
                 np.testing.assert_allclose(bc, unfolded_sweep(A, True)[2], rtol=1e-12, atol=0)
                 raw = nx.betweenness_centrality(nx.from_scipy_sparse_array(A), normalized=False)
                 np.testing.assert_allclose(bc, [raw[v] for v in range(A.shape[0])],
@@ -527,19 +526,57 @@ class TestDegreeOneFold:
 
         monkeypatch.setattr(baselines, "_bfs", counted)
         g = mixed_fold_graph()
-        baselines._sweep(g._indptr, g._indices, True)
+        baselines._sweep(g._indptr, g._indices)
         assert len(g._degree) == 21 and sum(columns) == 8
         columns.clear()
         g = k2_graph()
-        reached, total, bc = baselines._sweep(g._indptr, g._indices, True)
+        bc = baselines._sweep(g._indptr, g._indices)
+        reached, total = baselines._hops(g._indptr, g._indices)
         assert columns == []  # every node is a leaf or dropped
         assert (reached == 1).all() and (total == 1).all() and (bc == 0).all()
         for g in fold_graphs():
             for csr in fold_csrs(g):
                 columns.clear()
-                baselines._sweep(csr._indptr, csr._indices, True)
+                baselines._sweep(csr._indptr, csr._indices)
                 G = nx.from_scipy_sparse_array(scipy_adjacency(csr))
                 assert sum(columns) == len(kept_nodes(G))
+
+
+@st.composite
+def hop_graphs(draw):
+    """A bipartite graph of a random core, stars, K2 components, isolated
+    nodes on both sides and brooms: a hub whose spokes each carry k leaves,
+    so that its 63-65 or 127-129 spokes are kept sources with one fold count
+    k, and words and blocks split at their edges."""
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    edges = [(f"c{i}", f"C{j}") for i, j in draw(st.lists(pair, max_size=20))]
+    for s, size in enumerate(draw(st.lists(st.integers(1, 5), max_size=3))):
+        edges += [(f"s{s}", f"S{s}.{j}") for j in range(size)]
+    edges += [(f"k{i}", f"K{i}") for i in range(draw(st.integers(0, 3)))]
+    sizes = st.sampled_from([63, 64, 65, 127, 128, 129])
+    for b, (spokes, k, flip) in enumerate(draw(st.lists(
+            st.tuples(sizes, st.integers(1, 2), st.booleans()), max_size=2))):
+        broom = [(f"h{b}", f"H{b}.{i}") for i in range(spokes)]
+        broom += [(f"l{b}.{i}.{j}", f"H{b}.{i}") for i in range(spokes) for j in range(k)]
+        edges += [(v, u) for u, v in broom] if flip else broom
+    isolated = [[f"i{j}" for j in range(draw(st.integers(0, 2)))] for _ in range(2)]
+    return BipartiteGraph(edges, isolated_left=isolated[0], isolated_right=isolated[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(hop_graphs())
+def test_hops_equal_the_unfolded_sweep(g):
+    budget = graph_module._BLOCK_ELEMENTS
+    try:
+        for csr in fold_csrs(g):
+            ref = unfolded_sweep(scipy_adjacency(csr), False)[:2]
+            for size in (1, 100, budget):
+                graph_module._BLOCK_ELEMENTS = size
+                mine = baselines._hops(csr._indptr, csr._indices)
+                assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
+    finally:
+        graph_module._BLOCK_ELEMENTS = budget
 
 
 def latapy_graphs():
@@ -588,6 +625,9 @@ def sweep_values(graph: BipartiteGraph, side: Side, order: tuple[str, ...]) -> l
 
 
 class TestSweepMemo:
+    """The sweep-based scores of a graph: each graph's own values, whatever
+    the call order and the block size, and a BFS sweep only for betweenness."""
+
     @pytest.mark.filterwarnings("ignore::hellrank.baselines.DisconnectedGraphWarning")
     def test_graphs_with_the_same_labels_keep_their_own_values(self):
         # the same nodes in the same order, different links, scored in turn
@@ -664,74 +704,25 @@ class TestSweepMemo:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize(
-        "metric, sweeps",
-        [("all", [True, True]), ("closeness2", [False]), ("closeness1", [False])],
-    )
-    def test_scores_sweeps_each_graph_once(self, metric, sweeps, tmp_path, monkeypatch):
-        # `all` runs betweenness first, so closeness reads its sweep; closeness
-        # alone runs the sweep without the dependency accumulation
+    @pytest.mark.parametrize("metric", ["all", "closeness2", "closeness1"])
+    def test_only_betweenness_sweeps(self, metric, tmp_path, monkeypatch):
+        # closeness takes its hop counts from _hops; `all` sweeps the graph and
+        # its left projection once each, for their betweenness
+        edges = giant_and_small_components(9)
         path = tmp_path / "edges.tsv"
-        path.write_text("".join(f"{u}\t{v}\n" for u, v in giant_and_small_components(9)))
-        calls = []
+        path.write_text("".join(f"{u}\t{v}\n" for u, v in edges))
+        sizes = []
         sweep = baselines._sweep
 
-        def counted(indptr, indices, betweenness):
-            calls.append(betweenness)
-            return sweep(indptr, indices, betweenness)
+        def counted(indptr, indices):
+            sizes.append(len(indptr) - 1)
+            return sweep(indptr, indices)
 
         monkeypatch.setattr(baselines, "_sweep", counted)
         with pytest.warns(DisconnectedGraphWarning), contextlib.redirect_stdout(io.StringIO()):
             assert run(["scores", "--input", str(path), "--metric", metric]) == 0
-        assert calls == sweeps
-
-    @pytest.mark.parametrize("command", ["correlate", "sweep-k"])
-    @pytest.mark.parametrize(
-        "first, second", [("closeness2", "betweenness2"), ("closeness1", "betweenness1")]
-    )
-    def test_pair_commands_sweep_each_graph_once(self, command, first, second, tmp_path,
-                                                 monkeypatch, capsys):
-        # closeness asked for first still reads the sweep betweenness leaves,
-        # and the bytes equal those of computing the pair in the order given
-        path = tmp_path / "edges.tsv"
-        path.write_text("".join(f"{u}\t{v}\n" for u, v in giant_and_small_components(11)))
-        argv = [command, "--input", str(path), "--metric-a", first, "--metric-b", second]
-        calls = []
-        sweep = baselines._sweep
-
-        def counted(indptr, indices, betweenness):
-            calls.append(betweenness)
-            return sweep(indptr, indices, betweenness)
-
-        def in_given_order(args, graph, names):
-            return {n: cli.compute_metric(graph, n, Side(args.side), DistanceMode(args.mode),
-                                          args.damping, args.threads, args.weighted)
-                    for n in names}
-
-        monkeypatch.setattr(baselines, "_sweep", counted)
-        outputs, sweeps = [], []
-        for tables in (cli._tables, in_given_order):
-            monkeypatch.setattr(cli, "_tables", tables)
-            calls.clear()
-            with pytest.warns(DisconnectedGraphWarning):
-                assert run(argv) == 0
-            outputs.append(capsys.readouterr().out)
-            sweeps.append(calls[:])
-        assert sweeps == [[True], [False, True]]
-        assert outputs[0] == outputs[1]
-
-    def test_memoised_arrays_are_read_only(self):
-        g = BipartiteGraph(giant_and_small_components(10))
-        pagerank(g)
-        arrays = [g._indptr, g._indices, g._memo["rows"]]
-        with pytest.warns(DisconnectedGraphWarning):
-            bipartite_closeness(g, Side.LEFT)
-        bipartite_betweenness(g, Side.LEFT)
-        arrays += [a for key, entry in g._memo.items() if "sweep" in key for a in entry]
-        assert len(arrays) == 2 + 1 + 2 + 3
-        for a in arrays:
-            with pytest.raises(ValueError):
-                a[0] = 1
+        g = BipartiteGraph(edges)
+        assert sizes == ([g.n1 + g.n2, g.n1] if metric == "all" else [])
 
 
 def test_latapy_loads_no_scipy():

@@ -152,6 +152,23 @@ def test_non_finite_weight_exit_1(capsys, tmp_path, command):
     assert captured.err == "hellrank: line 3: weight must be finite and > 0, got '1e309'\n"
 
 
+@pytest.mark.parametrize("mode", ["normalized", "raw"])
+def test_node_weight_sum_past_half_the_largest_double_exit_1(capsys, tmp_path, mode):
+    # a and b have proportional vectors; the parent printed d(a, b) = 1 in
+    # normalized mode and inf cells in raw mode
+    path = tmp_path / "weighted.txt"
+    path.write_text("a x 1e308\na y 1e308\nb x 1\nb z 1\nc x 1\n")
+    assert run(["distances", "--input", str(path), "--weighted", "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hellrank: the link weights of left node 'a' sum to inf, above float max / 2\n"
+    path.write_text("a x 4e307\na y 4e307\nb x 1\nb z 1\nc x 1\n")
+    out = run_ok(capsys, ["distances", "--input", str(path), "--weighted", "--mode", mode])
+    assert "inf" not in out
+    if mode == "normalized":
+        assert out.splitlines()[1] == "a,0.000000,0.000000,0.541196"
+
+
 class TestCorrelate:
     def test_davis_vs_degree(self, capsys):
         out = run_ok(capsys, ["correlate", "--dataset", "davis", "--metric-b", "degree2"])

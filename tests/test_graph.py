@@ -124,6 +124,24 @@ class TestBipartiteGraph:
         with pytest.raises(ValueError, match="no link weights"):
             BipartiteGraph([("a", "1")]).link_weight("a", "1")
 
+    def test_summed_node_weight_is_bounded(self):
+        # each weight is finite; the raw kernel adds two nodes' summed
+        # weights, so each may reach half the largest double, not pass it
+        edges = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "z"), ("c", "x")]
+        with pytest.raises(ValueError, match="left node 'a' sum to inf"):
+            BipartiteGraph(edges, weights=[1e308, 1e308, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"left node 'a' sum to 9e\+307"):
+            BipartiteGraph(edges, weights=[4.5e307, 4.5e307, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"right node 'x' sum to 1e\+308"):
+            BipartiteGraph([("a", "x"), ("b", "x")], weights=[5e307, 5e307])
+        assert BipartiteGraph(edges, weights=[4.4e307, 4.4e307, 1.0, 1.0, 1.0]).is_weighted
+
+    def test_links_are_read_only(self):
+        g = BipartiteGraph([("a", "x"), ("b", "x")], weights=[1.0, 2.0])
+        for a in (g._indptr, g._indices, g._degree, g._weights):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
     def test_equality(self, fig1):
         again = BipartiteGraph(reversed([(u, v) for u in fig1.left_nodes for v in fig1.neighbors(u, Side.LEFT)]))
         assert fig1 == again

@@ -2,8 +2,8 @@
 
 Importing scipy.sparse takes about 0.21-0.25 s on top of numpy, most of a
 small `scores` run, so the distance kernel's commands must load none of
-scipy, nor must PageRank, eigenvector or `null-model`; only the BFS sweep of
-closeness and betweenness imports it, on use.  `import hellrank` alone loads
+scipy, nor must PageRank, eigenvector, closeness or `null-model`; only the
+BFS sweep of betweenness imports `scipy.sparse`, on use.  `import hellrank` alone loads
 no submodule and no numpy, and the CLI sets `OPENBLAS_NUM_THREADS` before
 numpy loads unless the user has set it.
 """
@@ -122,6 +122,20 @@ def test_kernel_commands_load_no_scipy(argv):
     ],
 )
 def test_pagerank_and_eigenvector_load_no_scipy(argv):
+    result = fresh_run(argv)
+    assert result["status"] == 0
+    assert result["scipy"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scores", "--dataset", "davis", "--metric", "closeness2"],
+        ["scores", "--dataset", "davis", "--metric", "closeness1"],
+        ["correlate", "--dataset", "davis", "--metric-a", "closeness1", "--metric-b", "degree2"],
+    ],
+)
+def test_closeness_loads_no_scipy(argv):
     result = fresh_run(argv)
     assert result["status"] == 0
     assert result["scipy"] == []
