@@ -197,9 +197,11 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     That counts every pair of ends outside v's own leaves.  The pairs with
     an end among them are added in closed form after halving: v lies on
     every shortest path from one of its leaves to the R_v - k_v other nodes
-    it reaches, k_v (R_v - k_v) pairs with R_v from ``_hops``, and between
-    two of its leaves, k_v (k_v - 1) / 2 pairs.  A leaf lies inside no
-    shortest path.  The result is the unfolded sweep's up to the order in
+    it reaches, k_v (R_v - k_v) pairs, and between two of its leaves,
+    k_v (k_v - 1) / 2 pairs.  A kept source reaches R_v nodes: the kept
+    nodes its BFS finds and their leaves, itself out.  A dropped node
+    reaches only its k_v leaves, so its first term is 0.  A leaf lies inside
+    no shortest path.  The result is the unfolded sweep's up to the order in
     which floats are added.
 
     Each source's dependencies are added in source order, one source at a
@@ -213,10 +215,12 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     B = sp.csr_matrix((np.ones(len(col)), col, ptr), shape=(m, m))
     weight = 1.0 + k[kept]
     bc = np.zeros(m)
+    reached = np.zeros(m, dtype=np.int64)
     step = max(1, graph_module._BLOCK_ELEMENTS // max(m, 1))  # the budget _co_occurrences reads
     for lo in range(0, m, step):
         hi = min(lo + step, m)
         levels, sigma = _bfs(B, lo, hi)
+        reached[lo:hi] = (1 + k[kept]) @ (sigma > 0) - 1
         divisor = np.where(sigma > 0, sigma, 1.0)
         delta = np.zeros(sigma.shape)
         for level in range(len(levels) - 1, 1, -1):
@@ -227,8 +231,9 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
                 bc += column
     halved = np.zeros(len(k))
     halved[kept] = bc / 2.0
-    reached = _hops(indptr, indices)[0]
-    return halved + (k * (reached - k) + k * (k - 1) // 2)
+    pairs = k * (k - 1) // 2
+    pairs[kept] += k[kept] * (reached - k[kept])
+    return halved + pairs
 
 
 def _closeness_values(csr, numerators: np.ndarray, warn_label: str) -> np.ndarray:

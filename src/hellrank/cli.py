@@ -395,7 +395,8 @@ def run(argv: list[str] | None = None) -> int:
                             f"--metric-a {args.metric_a} --metric-b {args.metric_b}")
     try:
         # --output is opened only once the result is computed, so a failed
-        # run leaves an existing file as it was
+        # run leaves an existing file as it was; `distances` computes its
+        # matrix's rows while it writes them, after every input check
         write = COMMANDS[args.command](args)
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="\n") as out:

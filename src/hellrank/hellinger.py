@@ -17,9 +17,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from collections import deque
 from functools import cached_property
-from typing import Iterable, Mapping, TextIO
+from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -277,6 +277,65 @@ def _run_blocks(fn, spans, threads: int | None):
     return [fn(*s) for s in spans]
 
 
+def _ahead(fn, spans, threads: int | None) -> Iterator:
+    """fn(*span) for each span, in order, with up to ``threads`` of them in
+    flight on a pool: a slow consumer holds back the pool."""
+    if threads is None or threads < 2 or len(spans) < 2:
+        yield from (fn(*s) for s in spans)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for s in spans:
+            pending.append(pool.submit(fn, *s))
+            if len(pending) == threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _distance_rows(
+    U: np.ndarray, mu: np.ndarray, inverse: np.ndarray, coef: float, block: int, threads: int | None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(a, b, rows) for each run of ``block`` nodes, in node order: ``rows``
+    is the (b - a) x n slice a:b of the distance matrix, node i having the
+    distinct vector U[inverse[i]].  Every block is written to one buffer, so
+    a consumer copies what it keeps before it asks for the next.
+
+    The distinct vectors' rows are computed ``block`` at a time and in order
+    by ``_block_distances``, as ``hellrank`` computes them, up to ``threads``
+    blocks ahead.  A distinct row is kept only until the last node block that
+    reads it, so working memory holds the kernel's blocks in flight, one
+    block of node rows, and the distinct rows that later nodes still share.
+    """
+    n = len(inverse)
+    u = U.shape[0]  # not len(U): the tests' sparse reference kernel has none
+    last = np.zeros(u, dtype=np.int64)  # the last node block that reads each distinct row
+    np.maximum.at(last, inverse, np.arange(n) // block)
+
+    computed = _ahead(
+        lambda lo, hi: list(enumerate(_block_distances(U, mu, lo, hi, coef), start=lo)),
+        _blocks(u, block),
+        threads,
+    )
+    kept: dict[int, np.ndarray] = {}
+    out = np.empty((min(block, n), n))
+    for j, (a, b) in enumerate(_blocks(n, block)):
+        mine = inverse[a:b]
+        # U is in order of first sight, so a row not kept yet is not computed yet
+        while int(mine.max()) not in kept:
+            # a row that a later node block reads is copied out of its kernel
+            # block, so that the block is freed with this node block
+            kept.update((k, row.copy() if last[k] > j else row) for k, row in next(computed))
+        rows = out[: b - a]
+        for r, k in enumerate(mine.tolist()):
+            np.take(kept[k], inverse, out=rows[r])
+        yield a, b, rows
+        for k in set(mine[last[mine] == j].tolist()):
+            del kept[k]
+
+
 def distance_matrix(
     graph: BipartiteGraph,
     side: Side,
@@ -287,12 +346,15 @@ def distance_matrix(
     threads: int | None = None,
     block: int = 128,
 ) -> "DistanceMatrix":
-    """Full symmetric pairwise distance matrix for one side.
+    """Symmetric pairwise distance matrix for one side.
 
-    Storage is quadratic; sides larger than ``max_side`` are refused unless
-    ``force`` is set.  Each thread scores ``block`` distinct vectors at a
-    time, so beside the result working memory grows with block x u per
-    thread (u distinct vectors), and block x n for copying into the result.
+    The matrix holds the side's distinct vectors, and computes its rows
+    ``block`` nodes at a time when they are read: ``to_csv`` and
+    ``threshold_graph`` never hold all of it.  Working memory grows with
+    block x u per thread (u distinct vectors) and block x n for a block of
+    node rows, plus the distinct rows that later nodes still read.  Its
+    ``values`` array is quadratic; sides larger than ``max_side`` are
+    refused unless ``force`` is set.
     """
     labels = list(graph.nodes(side))
     S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)
@@ -303,21 +365,10 @@ def distance_matrix(
         raise MemoryError(
             f"side has {n} nodes (> cap {max_side}); pass force=True to override"
         )
-    U, mu, inverse, counts = _unique_rows(S, masses)
-    values = np.empty((n, n))
-
-    def fill(lo: int, hi: int) -> None:
-        # blocks own disjoint rows of values, so threads never write the same row
-        d = _block_distances(U, mu, lo, hi, coef)
-        rows = np.flatnonzero((inverse >= lo) & (inverse < hi))
-        # many node rows can share a unique row: gather them in chunks of
-        # `block` rows, so the temporary stays at block x n
-        for start in range(0, len(rows), block):
-            chunk = rows[start : start + block]
-            values[chunk] = d[np.ix_(inverse[chunk] - lo, inverse)]
-
-    _run_blocks(fill, _blocks(len(counts), block), threads)
-    return DistanceMatrix(side=side, labels=labels, values=values, mode=mode)
+    U, mu, inverse, _ = _unique_rows(S, masses)
+    matrix = DistanceMatrix(side=side, labels=labels, values=None, mode=mode)
+    matrix._kernel = (U, mu, inverse, coef, block, threads)
+    return matrix
 
 
 def hellrank(
@@ -362,14 +413,34 @@ def hellrank(
     return CentralityScores(side=side, metric=metric, scores=dict(zip(labels, values)))
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric pairwise node distances for one side."""
+    """Symmetric pairwise node distances for one side.
 
-    side: Side
-    labels: list[str]
-    values: np.ndarray
-    mode: DistanceMode
+    Built from the n x n ``values``, or by ``distance_matrix`` from the
+    side's distinct vectors: then ``to_csv`` and ``threshold_graph`` compute
+    the rows a block at a time, and ``values`` is filled on first read and
+    kept.
+    """
+
+    def __init__(self, side: Side, labels: list[str], values: np.ndarray | None, mode: DistanceMode):
+        self.side, self.labels, self.mode = side, labels, mode
+        self._values = values
+        self._kernel: tuple | None = None  # distance_matrix's arguments to _distance_rows
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = np.empty((len(self.labels),) * 2)
+            for a, b, rows in self._row_blocks():
+                values[a:b] = rows
+            self._values = values
+        return self._values
+
+    def _row_blocks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(a, b, rows a:b of the matrix) in row order."""
+        if self._values is None:
+            return _distance_rows(*self._kernel)
+        return ((a, b, self._values[a:b]) for a, b in _blocks(len(self.labels), 128))
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -384,15 +455,18 @@ class DistanceMatrix:
 
     def to_csv(self, stream: TextIO) -> None:
         stream.write("," + ",".join(map(csv_field, self.labels)) + "\n")
-        for label, row in zip(self.labels, _fixed6_rows(self.values)):
-            stream.write(csv_field(label) + "," + row + "\n")
+        for a, b, rows in self._row_blocks():
+            for label, row in zip(self.labels[a:b], _fixed6_rows(rows)):
+                stream.write(csv_field(label) + "," + row + "\n")
 
 
 def threshold_graph(matrix: DistanceMatrix, threshold: float) -> UnipartiteGraph:
     """Graph on the matrix labels with an edge wherever d(u, v) < threshold."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    near = [i + 1 + np.flatnonzero(r[i + 1 :] < threshold) for i, r in enumerate(matrix.values)]
-    i = np.repeat(np.arange(len(near)), [len(j) for j in near])
-    j = np.concatenate([np.zeros(0, dtype=np.int64), *near])
+    # per block of rows, its pairs above the diagonal: row a + r, column c > a + r
+    near = [(a, *np.nonzero(np.triu(rows < threshold, a + 1))) for a, _, rows in matrix._row_blocks()]
+    none = [np.zeros(0, dtype=np.int64)]
+    i = np.concatenate(none + [a + r for a, r, _ in near])
+    j = np.concatenate(none + [c for _, _, c in near])
     return UnipartiteGraph._from_pairs(matrix.labels, i, j)

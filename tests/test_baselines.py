@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -703,6 +704,18 @@ class TestSweepMemo:
                 assert run(argv) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_betweenness_runs_no_hop_count(self, monkeypatch):
+        # the sweep's own BFS gives the reach of its closed-form leaf pairs;
+        # the digests are of the values when that reach came from _hops
+        calls = []
+        hops = baselines._hops
+        monkeypatch.setattr(baselines, "_hops", lambda *args: calls.append(args) or hops(*args))
+        g = BipartiteGraph(giant_and_small_components(9))
+        digests = [hashlib.sha256(baselines._sweep(c._indptr, c._indices).tobytes()).hexdigest()[:16]
+                   for c in (g, project(g, Side.LEFT), project(g, Side.RIGHT))]
+        assert calls == []
+        assert digests == ["e1b8526d75cae2ba", "4b971b1e7347241e", "1896bcfb157b0b9b"]
 
     @pytest.mark.parametrize("metric", ["all", "closeness2", "closeness1"])
     def test_only_betweenness_sweeps(self, metric, tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from oracles import brute_distance, brute_hellrank, random_bipartite
 MODES = [DistanceMode.NORMALIZED, DistanceMode.RAW]
 
 
-def class_graph(n_classes: int, copies: int) -> BipartiteGraph:
+def class_edges(n_classes: int, copies: int) -> list[tuple[str, str]]:
     """Left nodes in n_classes groups of `copies` nodes; the nodes of a group
     share one neighbor-degree vector and the groups' vectors all differ."""
     edges = []
@@ -42,7 +42,11 @@ def class_graph(n_classes: int, copies: int) -> BipartiteGraph:
             x = f"c{c}r{r}"
             edges += [(x, f"{x}p{t}") for t in range(1 + c % 4)]
             edges += [(x, f"h{t}") for t in range(c // 4 + 1)]
-    return BipartiteGraph(edges)
+    return edges
+
+
+def class_graph(n_classes: int, copies: int) -> BipartiteGraph:
+    return BipartiteGraph(class_edges(n_classes, copies))
 
 
 def random_edges(rng, n1: int, n2: int, p: float) -> list[tuple[str, str]]:
@@ -359,6 +363,16 @@ class TestHellRank:
         assert len(spans) == 1 and len(spans[0]) > 1
         assert two.scores == hellrank(g, Side.LEFT, threads=1).scores
 
+    def test_streamed_consumers_never_hold_the_matrix(self):
+        # nearly all 1500 vectors are distinct; the whole matrix takes 18 MB
+        g = random_bipartite(np.random.default_rng(3), 1500, 1000, 0.008)
+        with open(os.devnull, "w") as null:
+            _, peak = traced_peak(lambda: distance_matrix(g, Side.LEFT).to_csv(null))
+        assert peak < 8e6
+        tg, peak = traced_peak(lambda: threshold_graph(distance_matrix(g, Side.LEFT), 0.5))
+        assert peak < 8e6
+        assert tg.num_edges > 10_000  # the edges are built too
+
     def test_working_memory_grows_with_the_block_not_the_side(self):
         # nearly all 1500 vectors are distinct, so u is about the side's size
         g = random_bipartite(np.random.default_rng(3), 1500, 1000, 0.008)
@@ -511,3 +525,109 @@ def test_scores_and_distances_ignore_labels_and_side_order(case):
     for side in Side:
         assert_same_side(g, side, relabelled, side, relabel[side])
         assert_same_side(g, side, swapped, side.other, {x: x for x in g.nodes(side)})
+
+
+# -- the streamed matrix is the materialised one ---------------------------------
+
+# label prefixes that CSV must quote or that sort unlike ASCII
+PREFIXES = ["", "x,", '"q" ', "é", "a\"b,"]
+
+
+@st.composite
+def streamed_cases(draw):
+    """(graph, mode, weighted, block, threads): duplicate-heavy classes of
+    left nodes, random extra links, isolated nodes on both sides, labels that
+    need quoting."""
+    edges = class_edges(draw(st.integers(1, 9)), draw(st.integers(1, 6)))
+    n_extra = draw(st.integers(0, 6))
+    pair = st.tuples(st.integers(0, n_extra + 2), st.integers(0, 5))
+    edges += [(f"e{i}", f"h{j}") for i, j in draw(st.lists(pair, max_size=15))]
+    left = sorted({x for x, _ in edges})
+    prefix = dict(zip(left, draw(st.lists(st.sampled_from(PREFIXES), min_size=len(left), max_size=len(left)))))
+    size = len(edges)
+    weights = draw(st.none() | st.lists(st.floats(0.01, 100), min_size=size, max_size=size))
+    g = BipartiteGraph(
+        [(prefix[x] + x, y) for x, y in edges],
+        weights,
+        isolated_left=[f"z,{i}" for i in range(draw(st.integers(0, 3)))],
+        isolated_right=[f"w{i}" for i in range(draw(st.integers(0, 2)))],
+    )
+    return (g, draw(st.sampled_from(MODES)), draw(st.booleans()) and weights is not None,
+            draw(st.sampled_from([1, 3, 16, 128])), draw(st.sampled_from([1, 2])))
+
+
+def csv_text(m: DistanceMatrix) -> str:
+    buf = io.StringIO()
+    m.to_csv(buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(streamed_cases(), st.sampled_from([0.0, 0.1, 0.5, 0.75, 2.0, math.inf]))
+def test_streamed_matrix_equals_materialised(case, threshold):
+    g, mode, weighted, block, threads = case
+    m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, threads=threads, block=block)
+    # both stream before .values is first read
+    streamed_csv, streamed_cut = csv_text(m), threshold_graph(m, threshold)
+    full = DistanceMatrix(m.side, m.labels, m.values, m.mode)
+    assert streamed_csv == csv_text(full)
+    ii, jj = np.nonzero(np.triu(full.values < threshold, 1))
+    assert streamed_cut == UnipartiteGraph(m.labels, [(m.labels[i], m.labels[j]) for i, j in zip(ii, jj)])
+    assert np.array_equal(m.values, distance_matrix(g, Side.LEFT, mode, weighted=weighted).values)
+
+
+# -- score-level properties -----------------------------------------------------
+
+
+@st.composite
+def small_graphs(draw):
+    """(distinct links between up to 9 left and 7 right nodes, isolated left
+    nodes)."""
+    n1, n2 = draw(st.integers(2, 9)), draw(st.integers(1, 7))
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    links = draw(st.lists(pair, min_size=1, max_size=30, unique=True))
+    isolated = [f"z{i}" for i in range(draw(st.integers(0, 2)))]
+    return [(f"L{i}", f"R{j}") for i, j in links], isolated
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_raw_distances_lie_within_the_degree_bounds(case):
+    edges, isolated = case
+    g = BipartiteGraph(edges, isolated_left=isolated)
+    m = distance_matrix(g, Side.LEFT, DistanceMode.RAW)
+    k = [g.degree(x, Side.LEFT) for x in m.labels]
+    for i, j in zip(*np.triu_indices(len(k), 1)):
+        if k[i] and k[j]:
+            lo, hi = distance_bounds(k[i], k[j])
+            # compared squared, up to rounding of the masses k_i + k_j
+            slack = 1e-12 * (k[i] + k[j])
+            assert lo * lo - slack <= m.values[i, j] ** 2 <= hi * hi + slack
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_triangle_inequality(case, data):
+    edges, isolated = case
+    weights = data.draw(st.none() | st.lists(st.floats(0.01, 100), min_size=len(edges), max_size=len(edges)))
+    g = BipartiteGraph(edges, weights, isolated_left=isolated)
+    for mode in MODES:
+        d = distance_matrix(g, Side.LEFT, mode, weighted=weights is not None).values
+        slack = 1e-9 * (1 + d.max())
+        for y in range(len(d)):
+            assert np.all(d <= d[:, y : y + 1] + d[y : y + 1, :] + slack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs())
+def test_unit_weights_give_the_unweighted_scores(case):
+    edges, isolated = case
+    plain = BipartiteGraph(edges, isolated_left=isolated)
+    unit = BipartiteGraph(edges, [1.0] * len(edges), isolated_left=isolated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateDistancesWarning)
+        for side in Side:
+            if len(plain.nodes(side)) < 2:
+                continue
+            for mode in MODES:
+                assert hellrank(unit, side, mode, weighted=True).scores == hellrank(plain, side, mode).scores
