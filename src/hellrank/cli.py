@@ -96,10 +96,11 @@ def _load_graph(args) -> BipartiteGraph:
     isolated_left: list[str] = []
     isolated_right: list[str] = []
     if getattr(args, "node_list", None):
-        with open(args.node_list, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would join the first label
+        with open(args.node_list, encoding="utf-8-sig") as fh:
             # edge lines below split on any whitespace
             isolated_left, isolated_right = load_node_list(fh, delimiter=None)
-    with open(args.input, encoding="utf-8") as fh:
+    with open(args.input, encoding="utf-8-sig") as fh:
         return load_edge_list(
             fh,
             has_weights=args.weighted,

@@ -83,19 +83,27 @@ class BipartiteGraph:
         isolated_left: Iterable[str] = (),
         isolated_right: Iterable[str] = (),
     ):
-        edges = list(edges)
+        left: dict[str, int] = {}
+        right: dict[str, int] = {}
+        iu: list[int] = []
+        iv: list[int] = []
+        for u, v in edges:
+            iu.append(left.setdefault(u, len(left)))
+            iv.append(right.setdefault(v, len(right)))
         if weights is not None:
             weights = list(weights)
-            if len(weights) != len(edges):
+            if len(weights) != len(iu):
                 raise ValueError("weights must match edges one-to-one")
             for w in weights:
                 if not 0 < w < math.inf:
                     raise ValueError(f"link weights must be finite and > 0, got {w}")
+        self._build(left, right, iu, iv, weights, isolated_left, isolated_right)
 
-        left: dict[str, int] = {}
-        right: dict[str, int] = {}
-        iu = np.array([left.setdefault(u, len(left)) for u, _ in edges], dtype=np.int64)
-        iv = np.array([right.setdefault(v, len(right)) for _, v in edges], dtype=np.int64)
+    def _build(self, left: dict[str, int], right: dict[str, int], iu: list[int], iv: list[int],
+               weights: list[float] | None, isolated_left: Iterable[str], isolated_right: Iterable[str]):
+        """The graph of the links left id iu[k] -- right id iv[k], numbered by
+        ``left`` and ``right`` with the isolated nodes added last; each weight
+        is already known to be finite and > 0."""
         for u in isolated_left:
             left.setdefault(u, len(left))
         for v in isolated_right:
@@ -103,8 +111,12 @@ class BipartiteGraph:
         self._left, self._right = tuple(left), tuple(right)
         self._left_index, self._right_index = left, right
         n1 = len(left)
+        row_u = np.array(iu, dtype=np.int64)  # the CSR row of each link's ends
+        row_v = np.array(iv, dtype=np.int64) + n1
 
-        self._indptr, self._indices, entry = _symmetric_csr(iu, iv + n1, self._left + self._right)
+        self._indptr, self._indices, entry = _symmetric_csr(
+            row_u, row_v, self._left + self._right, inverse=weights is not None
+        )
         self._degree = _frozen(np.diff(self._indptr))
         self._weights = None
         if weights is not None:
@@ -121,7 +133,7 @@ class BipartiteGraph:
                 )
             # a node's mass, and in the raw kernel the sum of two nodes' masses,
             # stay finite; minlength gives argmax an entry when there is no link
-            mass = np.bincount(np.concatenate((iu, iv + n1)), weights=both, minlength=1)
+            mass = np.bincount(np.concatenate((row_u, row_v)), weights=both, minlength=1)
             i = int(np.argmax(mass))  # the heaviest node
             if mass[i] > np.finfo(np.float64).max / 2:
                 node = f"left node {self._left[i]!r}" if i < n1 else f"right node {self._right[i - n1]!r}"
@@ -221,20 +233,33 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _symmetric_csr(u: np.ndarray, v: np.ndarray, labels: tuple[str, ...]):
+def _symmetric_csr(u: np.ndarray, v: np.ndarray, labels: tuple[str, ...], inverse: bool = False):
     """(indptr, indices, entry) of the symmetric CSR, one row per label, of
     the links u[k] -- v[k] != u[k], each row in ascending Python label order.
-    A repeated link is one entry per direction: ``entry[k]`` is that of
-    u[k] -> v[k], ``entry[len(u) + k]`` that of v[k] -> u[k]."""
-    n = len(labels)
+    A repeated link is one entry per direction.  With ``inverse``,
+    ``entry[k]`` is that of u[k] -> v[k] and ``entry[len(u) + k]`` that of
+    v[k] -> u[k]; otherwise ``entry`` is None."""
+    n, m = len(labels), len(u)
     by_label = np.array(sorted(range(n), key=labels.__getitem__), dtype=np.int64)
     rank = np.empty(n, dtype=np.int64)
     rank[by_label] = np.arange(n)
-    rows, cols = np.concatenate((u, v)), np.concatenate((v, u))
-    keys, entry = np.unique(rows * n + rank[cols], return_inverse=True)
-    rows, cols = np.divmod(keys, max(n, 1))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return _frozen(indptr), _frozen(by_label[cols]), entry
+    # one key row * n + rank[col] per direction, written in place
+    keys = np.empty(2 * m, dtype=np.int64)
+    for out, rows, cols in ((keys[:m], u, v), (keys[m:], v, u)):
+        np.multiply(rows, n, out=out)
+        out += rank[cols]
+    entry = None
+    if inverse:
+        keys, entry = np.unique(keys, return_inverse=True)
+    else:
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # row i's keys start at i * n
+    np.remainder(keys, max(n, 1), out=keys)  # each key's rank[col]
+    return _frozen(indptr), _frozen(by_label[keys]), entry
 
 
 def _side_range(graph: BipartiteGraph, side: Side) -> tuple[int, int]:
@@ -393,21 +418,29 @@ class UnipartiteGraph:
         return len(self.neighbors(node))
 
     def edges(self) -> list[tuple[str, str]]:
-        return [(u, v) for u in self._nodes for v in self.neighbors(u) if u < v]
+        return list(self._edge_pairs())
+
+    def _edge_pairs(self) -> Iterator[tuple[str, str]]:
+        """Each edge once as (u, v) with u < v, row by row of the CSR."""
+        ends = self._indptr.tolist()
+        for u, a, b in zip(self._nodes, ends, ends[1:]):
+            for v in map(self._nodes.__getitem__, self._indices[a:b].tolist()):
+                if u < v:
+                    yield u, v
 
     @property
     def num_edges(self) -> int:
         return len(self._indices) // 2
 
     def to_edge_list(self, stream: TextIO, delimiter: str = "\t") -> None:
-        for u, v in self.edges():
+        for u, v in self._edge_pairs():
             stream.write(f"{csv_field(u, delimiter)}{delimiter}{csv_field(v, delimiter)}\n")
 
     def to_dot(self, stream: TextIO, name: str = "G") -> None:
         stream.write(f"graph {name} {{\n")
         for n in self._nodes:
             stream.write(f"  {dot_id(n)};\n")
-        for u, v in self.edges():
+        for u, v in self._edge_pairs():
             stream.write(f"  {dot_id(u)} -- {dot_id(v)};\n")
         stream.write("}\n")
 
@@ -431,19 +464,23 @@ def load_edge_list(
     ``delimiter=None`` splits on any run of whitespace (KONECT-style files).
     Duplicate lines collapse; with weights their weights are summed.
     """
-    edges: list[tuple[str, str]] = []
+    left: dict[str, int] = {}
+    right: dict[str, int] = {}
+    iu: list[int] = []
+    iv: list[int] = []
     weights: list[float] = []
+    want = 3 if has_weights else 2
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(comment_prefixes):
             continue
         fields = line.split(delimiter)
-        want = 3 if has_weights else 2
         if len(fields) != want:
             raise EdgeListParseError(
                 lineno, f"expected {want} fields, got {len(fields)}: {line!r}"
             )
-        edges.append((fields[0], fields[1]))
+        iu.append(left.setdefault(fields[0], len(left)))
+        iv.append(right.setdefault(fields[1], len(right)))
         if has_weights:
             try:
                 w = float(fields[2])
@@ -456,12 +493,9 @@ def load_edge_list(
                     lineno, f"weight must be finite and > 0, got {fields[2]!r}"
                 )
             weights.append(w)
-    return BipartiteGraph(
-        edges,
-        weights if has_weights else None,
-        isolated_left=isolated_left,
-        isolated_right=isolated_right,
-    )
+    graph = BipartiteGraph.__new__(BipartiteGraph)
+    graph._build(left, right, iu, iv, weights if has_weights else None, isolated_left, isolated_right)
+    return graph
 
 
 def load_node_list(

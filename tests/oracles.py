@@ -251,6 +251,42 @@ def bipartite_from_matrix(adj: np.ndarray) -> BipartiteGraph:
     )
 
 
+def dict_csr(labels, pairs, weights=None):
+    """(indptr, indices, degree, weights or None) of the symmetric CSR of the
+    links labels[i] -- labels[j] for (i, j) in ``pairs``, built from dicts:
+    row i lists its distinct neighbors in sorted label order, and a repeated
+    link's weights are added in pair order from 0.0."""
+    rows = [{} for _ in labels]
+    for k, (i, j) in enumerate(pairs):
+        w = 1.0 if weights is None else weights[k]
+        rows[i][j] = rows[i].get(j, 0.0) + w
+        rows[j][i] = rows[j].get(i, 0.0) + w
+    indptr, indices, summed = [0], [], []
+    for row in rows:
+        for j in sorted(row, key=labels.__getitem__):
+            indices.append(j)
+            summed.append(row[j])
+        indptr.append(len(indices))
+    return (np.array(indptr), np.array(indices, dtype=np.int64), np.diff(indptr),
+            None if weights is None else np.array(summed))
+
+
+def dict_bipartite(edges, weights=None, isolated_left=(), isolated_right=()):
+    """(left nodes, right nodes, *dict_csr) of ``BipartiteGraph(edges, weights,
+    isolated_left, isolated_right)``: each side numbered first seen first,
+    isolated nodes last, left rows before right rows."""
+    left, right = {}, {}
+    for u, v in edges:
+        left.setdefault(u, len(left))
+        right.setdefault(v, len(right))
+    for u in isolated_left:
+        left.setdefault(u, len(left))
+    for v in isolated_right:
+        right.setdefault(v, len(right))
+    pairs = [(left[u], len(left) + right[v]) for u, v in edges]
+    return (tuple(left), tuple(right), *dict_csr(tuple(left) + tuple(right), pairs, weights))
+
+
 # -- the scipy.sparse distance kernel that the dense one replaced ------------
 #
 # The dense kernel in hellrank.hellinger must reproduce these functions to the

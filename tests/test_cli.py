@@ -99,6 +99,15 @@ class TestScores:
         )
         assert "z,0.000000" in out
 
+    @pytest.mark.parametrize("marked", [("edges",), ("nodes",), ("edges", "nodes")])
+    def test_byte_order_mark_is_not_part_of_a_label(self, capsys, tmp_path, marked):
+        files = {"edges": "a\t1\nb\t1\nb\t2\n", "nodes": "left a\nleft z\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(("\ufeff" if name in marked else "") + text, "utf-8")
+        argv = ["scores", "--input", str(tmp_path / "edges"), "--node-list", str(tmp_path / "nodes")]
+        out = run_ok(capsys, argv + ["--metric", "degree2"])
+        assert out == "label,score\nb,1.000000\na,0.500000\nz,0.000000\n"
+
     def test_weighted_reaches_hellrank(self, capsys, weighted_file):
         out = run_ok(capsys, ["scores", "--input", weighted_file, "--weighted"])
         assert out == "label,score\na,5.437291\nb,3.760506\nc,3.586919\n"

@@ -1,12 +1,19 @@
-"""The vectorized %.6f cell writer against the f-string it replaces."""
+"""The vectorized %.6f cell writer against the f-string it replaces, and
+score tables read back by csv.reader."""
 
+import csv
+import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hellrank import CentralityScores, Side, load_edge_list
+from hellrank.cli import PER_NODE_METRICS, DistanceMode, compute_metric, run
 from hellrank.graph import _FORMAT_BLOCK_CELLS, _fixed6_rows
 
 
@@ -58,3 +65,66 @@ def test_matches_fstring_across_blocks(rng, shape):
     flat[rng.choice(flat.size, len(SPECIAL), replace=False)] = SPECIAL
     flat[-1] = 2.0000005
     assert list(_fixed6_rows(values)) == fstring_rows(values)
+
+
+def read_back(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def near(cell: str, value: float) -> bool:
+    """%.6f is within half a unit of the sixth decimal; reading it back adds
+    at most one ulp."""
+    return abs(float(cell) - value) <= 5e-7 + math.ulp(value)
+
+
+EDGE_CHARS = ["a", "B", "é", ",", '"', "'", "1"]
+LABEL_CHARS = st.sampled_from(EDGE_CHARS + [" "])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.lists(st.one_of(LABEL_CHARS, st.sampled_from(["\n", "\r", "\r\n"])),
+                                max_size=4).map("".join),
+                       st.one_of(st.floats(allow_nan=False, allow_infinity=False), VALUES)
+                       .filter(math.isfinite), max_size=12))
+@example({'a,"b"\r\n': 0.5, "": -0.0, "\r": 1e9, "x\n": 2.0000005})
+def test_scores_csv_reads_back(scores):
+    out = io.StringIO()
+    CentralityScores(Side.LEFT, "m", scores).to_csv(out)
+    rows = read_back(out.getvalue())
+    assert rows[0] == ["label", "score"] and len(rows) == 1 + len(scores)
+    back = dict(rows[1:])
+    assert back.keys() == scores.keys()
+    assert all(near(back[label], value) for label, value in scores.items())
+
+
+# Edge-list labels: no whitespace, and none starts a comment.
+EDGE_LABELS = st.text(st.sampled_from(EDGE_CHARS), min_size=1, max_size=3)
+
+
+# small random graphs are often disconnected, or give every node one vector
+@pytest.mark.filterwarnings("ignore::hellrank.baselines.DisconnectedGraphWarning")
+@pytest.mark.filterwarnings("ignore::hellrank.hellinger.DegenerateDistancesWarning")
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(EDGE_LABELS, EDGE_LABELS), min_size=1, max_size=12),
+       st.sampled_from(["left", "right"]))
+@example([('a,"', '"'), ("a", "é,1"), ("'B", '"')], "left")
+def test_wide_table_reads_back(edges, side):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, dest = os.path.join(tmp, "edges.tsv"), os.path.join(tmp, "all.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{u}\t{v}\n" for u, v in edges)
+        graph = load_edge_list(f"{u}\t{v}" for u, v in edges)
+        status = run(["scores", "--input", path, "--side", side, "--metric", "all",
+                      "--output", dest])
+        if len(graph.nodes(Side(side))) < 2:  # refused: the kernel needs two nodes
+            assert status == 1 and not os.path.exists(dest)
+            return
+        assert status == 0
+        with open(dest, encoding="utf-8", newline="") as fh:
+            rows = read_back(fh.read())
+    want = {name: compute_metric(graph, name, Side(side), DistanceMode.NORMALIZED, 0.85, None, False)
+            for name in PER_NODE_METRICS}
+    assert rows[0] == ["label"] + PER_NODE_METRICS
+    assert [row[0] for row in rows[1:]] == sorted(graph.nodes(Side(side)))
+    for label, *cells in rows[1:]:
+        assert all(near(cell, want[name][label]) for name, cell in zip(PER_NODE_METRICS, cells))

@@ -1,6 +1,8 @@
 import csv
 import io
+import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,15 +14,18 @@ from hellrank import (
     Side,
     UnipartiteGraph,
     UnknownNodeError,
+    distance_matrix,
     load_edge_list,
     load_node_list,
     neighbor_degree_vector,
     project,
+    threshold_graph,
     weighted_neighbor_degree_vector,
 )
 from hellrank import graph as graph_module
 
-from oracles import random_bipartite
+from oracles import dict_bipartite, dict_csr, random_bipartite
+from test_hellinger import traced_peak
 
 
 class TestLoadEdgeList:
@@ -297,3 +302,93 @@ def test_graph_core_properties(case):
         for i, (side, x) in enumerate(rows):
             row = tuple(rows[j][1] for j in indices[indptr[i] : indptr[i + 1]])
             assert row == g.neighbors(x, side)
+
+
+# Edge-list fields: no whitespace; a left label never starts a comment.
+RIGHT_LABELS = st.text(st.sampled_from(["a", "B", "é", "日", "\x00", '"', ",", "1", "%", "#"]),
+                       min_size=1, max_size=3)
+LEFT_LABELS = RIGHT_LABELS.filter(lambda x: not x.startswith(("%", "#")))
+SEPARATORS = st.sampled_from([" ", "\t", " \t  "])
+NOISE = st.sampled_from(["", "   ", "\t", "% a comment", "#", "# x 1 2"])
+
+
+@st.composite
+def edge_files(draw):
+    """(lines, edges, weights, isolated_left, isolated_right): the lines of an
+    edge list with three columns (weights drawn) or two (weights None), with
+    repeated links, comment and blank lines, and the links they hold."""
+    links = draw(st.lists(st.tuples(LEFT_LABELS, RIGHT_LABELS), max_size=20))
+    edges = links + (draw(st.lists(st.sampled_from(links), max_size=10)) if links else [])
+    edges = draw(st.permutations(edges))
+    weighted = draw(st.booleans())
+    # any positive doubles: their sums depend on the order they are added in
+    weights = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(edges), max_size=len(edges)))
+    lines = []
+    for (u, v), w in zip(edges, weights):
+        lines += draw(st.lists(NOISE, max_size=1))
+        cells = [u, v, repr(w)] if weighted else [u, v]
+        lines.append(draw(st.sampled_from(["", " "])) + draw(SEPARATORS).join(cells) + "\n")
+    isolated = [draw(st.lists(labels, max_size=3)) for labels in (LEFT_LABELS, RIGHT_LABELS)]
+    return lines, edges, weights if weighted else None, *isolated
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_files())
+@example((["b 1 0.1\n", "% c\n", "a b 0.2\n", "b 1 0.7\n", "\n", "b 1 0.3\n"],
+          [("b", "1"), ("a", "b"), ("b", "1"), ("b", "1")], [0.1, 0.2, 0.7, 0.3], ["c", "a"], ["b"]))
+def test_ingest_equals_the_dict_oracle(case):
+    lines, edges, weights, isolated_left, isolated_right = case
+    want = dict_bipartite(edges, weights, isolated_left, isolated_right)
+    for g in (
+        load_edge_list(lines, has_weights=weights is not None,
+                       isolated_left=isolated_left, isolated_right=isolated_right),
+        BipartiteGraph(edges, weights, isolated_left, isolated_right),
+    ):
+        assert (g.left_nodes, g.right_nodes) == want[:2]
+        for got, expect in zip((g._indptr, g._indices, g._degree), want[2:5]):
+            assert np.array_equal(got, expect)
+        assert (g._weights is None) == (weights is None)
+        assert weights is None or np.array_equal(g._weights, want[5])
+    # the CSR of the projections and threshold graphs, each pair given both ways
+    nodes = tuple(dict.fromkeys([x for e in edges for x in e] + isolated_left))
+    index = {x: i for i, x in enumerate(nodes)}
+    pairs = [(index[u], index[v]) for u, v in edges if u != v]
+    a, b = np.array(pairs + [(j, i) for i, j in pairs], dtype=np.int64).reshape(-1, 2).T
+    unipartite = UnipartiteGraph._from_pairs(nodes, a, b)
+    indptr, indices, _, _ = dict_csr(nodes, pairs)
+    assert unipartite.nodes == nodes
+    assert np.array_equal(unipartite._indptr, indptr)
+    assert np.array_equal(unipartite._indices, indices)
+
+
+class TestMemory:
+    """Reading an edge list and writing a graph hold no Python object per link."""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        # 30k links: authors with skewed productivity, papers drawn uniformly
+        rng = np.random.default_rng(3)
+        authors = np.floor(3000 * rng.random(30_000) ** 2).astype(np.int64)
+        papers = rng.integers(0, 12_000, 30_000)
+        return [f"a{x}\tp{y}\n" for x, y in zip(authors.tolist(), papers.tolist())]
+
+    def test_load_edge_list(self, lines):
+        # the graph itself keeps about 3 MB; holding a (left, right) tuple per
+        # link while reading raises the peak to about 12 MB
+        g, peak = traced_peak(lambda: load_edge_list(lines))
+        assert g.num_links > 29_000
+        assert peak < 8e6
+
+    def test_to_edge_list_of_a_projection(self, lines):
+        proj = project(load_edge_list(lines), Side.LEFT)
+        assert proj.num_edges > 30_000
+        with open(os.devnull, "w") as null:
+            _, peak = traced_peak(lambda: proj.to_edge_list(null))
+        assert peak < 1e6
+
+    def test_to_dot_of_a_threshold_graph(self, lines):
+        tg = threshold_graph(distance_matrix(load_edge_list(lines), Side.LEFT), 0.15)
+        assert tg.num_edges > 30_000
+        with open(os.devnull, "w") as null:
+            _, peak = traced_peak(lambda: tg.to_dot(null))
+        assert peak < 1e6
