@@ -269,8 +269,10 @@ def _side_range(graph: BipartiteGraph, side: Side) -> tuple[int, int]:
 
 # Work per vectorized block: the elements of one (nodes x sources) BFS array
 # in the baselines' betweenness sweep, the words of one gathered (links x
-# words) frontier in their hop count, and the 2-hop walks of one run of
-# _co_occurrences.
+# words) frontier in their hop count, the 2-hop walks of one run of
+# _co_occurrences, and in the Hellinger kernel the products of one scatter of
+# a gram column and the entries of one run of rows that the distinct-vector
+# search compares with their sorted neighbours.
 # Kept small: on a 1,300-node graph, 8x the budget raised the peak RSS of
 # `scores --metric all` by about 4.5 MB (7%) and ran no faster.
 _BLOCK_ELEMENTS = 8192

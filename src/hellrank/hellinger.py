@@ -23,6 +23,7 @@ from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
+from . import graph as graph_module
 from .graph import (
     BipartiteGraph,
     Side,
@@ -178,13 +179,13 @@ def _sqrt_mass_matrix(C: np.ndarray, mode: DistanceMode) -> tuple[np.ndarray, np
 
     Returns (S, m, coef) with m[i] = ||S_i||^2 (total vector mass: the
     degree in raw mode, 1 or 0 in normalized mode) and coef * ||S_x - S_y||^2
-    the squared distance.
+    the squared distance.  Consumes C: S is computed in C's own array.
     """
     totals = _row_sums(C)
     if mode is DistanceMode.RAW:
-        return np.sqrt(C), totals, 1.0
-    mass = np.divide(C, totals[:, None], out=np.zeros_like(C), where=C != 0)
-    return np.sqrt(mass), (totals > 0).astype(float), 0.5
+        return np.sqrt(C, out=C), totals, 1.0
+    np.divide(C, totals[:, None], out=C, where=C != 0)
+    return np.sqrt(C, out=C), (totals > 0).astype(float), 0.5
 
 
 def _unique_rows(
@@ -198,16 +199,23 @@ def _unique_rows(
     and at equal distances from every other node, so the kernel only needs
     the unique rows.
     """
-    rows = np.column_stack([S, masses])
-    # one opaque item per row, so that rows are equal exactly when their bytes are
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # np.unique numbers the rows in sorted order; renumber them by first sight
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    inverse = rank[inverse.reshape(-1)]
-    keep = first[order]
+    n, c = S.shape
+    # stable sorts by row bytes, then by mass, put equal (row, mass) pairs
+    # next to each other in node order; S itself is never copied
+    order = np.argsort(S.view(np.dtype((np.void, S.itemsize * c))).ravel(), kind="stable")
+    order = order[np.argsort(masses[order], kind="stable")]
+    m = masses[order]
+    new = np.concatenate(([True], m[1:] != m[:-1]))  # a group starts here
+    # neighbouring rows' bits are compared a few thousand elements at a time
+    bits = S.view(np.uint64)
+    step = max(1, graph_module._BLOCK_ELEMENTS // c)
+    for a in range(1, n, step):
+        b = min(a + step, n)
+        new[a:b] |= (bits[order[a:b]] != bits[order[a - 1 : b - 1]]).any(axis=1)
+    first = order[new]  # each group's first node
+    keep = np.sort(first)
+    inverse = np.empty_like(order)
+    inverse[order] = np.searchsorted(keep, first)[np.cumsum(new) - 1]
     return S[keep], masses[keep], inverse, np.bincount(inverse)
 
 
@@ -224,7 +232,9 @@ def _gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
     That is the summation order of a CSR product, so every entry is the same
     double on any block height.  A BLAS product is not: it rounds
-    differently with the height of the block.
+    differently with the height of the block.  A column's products are
+    scattered a run of rows at a time, each run about graph._BLOCK_ELEMENTS
+    products.
     """
     u = S.shape[0]
     g = np.zeros((hi - lo, u))
@@ -232,8 +242,11 @@ def _gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
     for col in S.T:
         J = np.flatnonzero(col)
         I = J[np.searchsorted(J, lo) : np.searchsorted(J, hi)]
-        if len(I):
-            flat[((I - lo) * u)[:, None] + J] += np.multiply.outer(col[I], col[J])
+        w = col[J]
+        step = max(1, graph_module._BLOCK_ELEMENTS // max(len(J), 1))
+        for a in range(0, len(I), step):
+            R = I[a : a + step]
+            flat[((R - lo) * u)[:, None] + J] += np.multiply.outer(col[R], w)
     return g
 
 
@@ -336,6 +349,18 @@ def _distance_rows(
             del kept[k]
 
 
+def _distinct_vectors(
+    graph: BipartiteGraph, labels: list[str], side: Side, mode: DistanceMode, weighted: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """``_unique_rows`` of the nodes' sqrt-mass rows, and the mode's coef.
+
+    The count matrix, which becomes S in place, is freed on return: no
+    n x c array is alive while the kernel's blocks run.
+    """
+    S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)
+    return (*_unique_rows(S, masses), coef)
+
+
 def distance_matrix(
     graph: BipartiteGraph,
     side: Side,
@@ -357,7 +382,6 @@ def distance_matrix(
     refused unless ``force`` is set.
     """
     labels = list(graph.nodes(side))
-    S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)
     n = len(labels)
     if n == 0:
         raise ValueError(f"side {side.value} is empty")
@@ -365,7 +389,7 @@ def distance_matrix(
         raise MemoryError(
             f"side has {n} nodes (> cap {max_side}); pass force=True to override"
         )
-    U, mu, inverse, _ = _unique_rows(S, masses)
+    U, mu, inverse, _, coef = _distinct_vectors(graph, labels, side, mode, weighted)
     matrix = DistanceMatrix(side=side, labels=labels, values=None, mode=mode)
     matrix._kernel = (U, mu, inverse, coef, block, threads)
     return matrix
@@ -389,11 +413,10 @@ def hellrank(
     nodes) all scores are 1.0 and a DegenerateDistancesWarning is emitted.
     """
     labels = list(graph.nodes(side))
-    S, masses, coef = _sqrt_mass_matrix(_node_counts(graph, labels, side, weighted), mode)
     n = len(labels)
     if n < 2:
         raise ValueError(f"side {side.value} needs >= 2 nodes, has {n}")
-    U, mu, inverse, counts = _unique_rows(S, masses)
+    U, mu, inverse, counts, coef = _distinct_vectors(graph, labels, side, mode, weighted)
 
     def row_sums(lo: int, hi: int) -> np.ndarray:
         d = _block_distances(U, mu, lo, hi, coef)

@@ -287,6 +287,46 @@ def dict_bipartite(edges, weights=None, isolated_left=(), isolated_right=()):
     return (tuple(left), tuple(right), *dict_csr(tuple(left) + tuple(right), pairs, weights))
 
 
+# -- the dense kernel's distinct rows and gram blocks, by loops ---------------
+
+
+def sqrt_mass_rows(C: np.ndarray, totals: np.ndarray, normalized: bool) -> np.ndarray:
+    """A new array of sqrt(C[i, j] / totals[i]) (normalized) or sqrt(C[i, j])
+    at each nonzero count, 0.0 elsewhere; Python's / and math.sqrt round as
+    numpy's do."""
+    S = np.zeros(C.shape)
+    for (i, j), x in np.ndenumerate(C):
+        if x:
+            S[i, j] = math.sqrt(x / totals[i] if normalized else x)
+    return S
+
+
+def dict_unique_rows(S: np.ndarray, masses: np.ndarray):
+    """(U, mu, inverse, counts) of ``_unique_rows`` from a dict keyed on
+    (row bytes, mass), numbered by first sight."""
+    first: dict = {}
+    inverse = np.array(
+        [first.setdefault((row.tobytes(), float(m)), len(first)) for row, m in zip(S, masses)],
+        dtype=np.int64,
+    )
+    keep = np.unique(inverse, return_index=True)[1]
+    return S[keep], masses[keep], inverse, np.bincount(inverse)
+
+
+def column_gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """S[lo:hi] @ S.T with one scatter per column, ascending: each entry
+    receives its columns' products in the order the dense kernel adds them."""
+    u = S.shape[0]
+    g = np.zeros((hi - lo, u))
+    flat = g.reshape(-1)
+    for col in S.T:
+        J = np.flatnonzero(col)
+        I = J[(J >= lo) & (J < hi)]
+        if len(I):
+            flat[((I - lo) * u)[:, None] + J] += np.multiply.outer(col[I], col[J])
+    return g
+
+
 # -- the scipy.sparse distance kernel that the dense one replaced ------------
 #
 # The dense kernel in hellrank.hellinger must reproduce these functions to the

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hellrank import (
@@ -25,10 +25,19 @@ from hellrank import (
     threshold_graph,
     weighted_node_distance,
 )
+from hellrank import graph as graph_module
+from hellrank import hellinger
 from hellrank.graph import UnipartiteGraph
 from hellrank.hellinger import DegenerateDistancesWarning
 
-from oracles import brute_distance, brute_hellrank, random_bipartite
+from oracles import (
+    brute_distance,
+    brute_hellrank,
+    column_gram,
+    dict_unique_rows,
+    random_bipartite,
+    sqrt_mass_rows,
+)
 
 MODES = [DistanceMode.NORMALIZED, DistanceMode.RAW]
 
@@ -329,6 +338,18 @@ class TestHellRank:
         with pytest.raises(ValueError, match=">= 2"):
             hellrank(BipartiteGraph([("a", "1")]), Side.LEFT)
 
+    def test_size_checks_run_before_the_counts(self, fig1, monkeypatch):
+        def counts(*args):
+            raise AssertionError("the count matrix was built")
+
+        monkeypatch.setattr(hellinger, "_node_counts", counts)
+        with pytest.raises(MemoryError, match="cap 1"):
+            distance_matrix(fig1, Side.LEFT, max_side=1)
+        with pytest.raises(ValueError, match="empty"):
+            distance_matrix(BipartiteGraph([], isolated_left=["a"]), Side.RIGHT)
+        with pytest.raises(ValueError, match=">= 2"):
+            hellrank(BipartiteGraph([("a", "1")]), Side.LEFT)
+
     def test_degenerate_uniform(self):
         g = BipartiteGraph([("a", "1"), ("b", "2")])
         with pytest.warns(DegenerateDistancesWarning):
@@ -380,6 +401,19 @@ class TestHellRank:
         assert peak < 8e6
         m, peak = traced_peak(lambda: distance_matrix(g, Side.LEFT))
         assert peak - m.values.nbytes < 8e6
+
+    def test_duplicate_heavy_side_holds_one_count_matrix(self):
+        # 4000 left nodes with Zipf degrees over 4000 right nodes of skewed
+        # popularity: 42 distinct neighbor degrees, 1172 distinct vectors.  The
+        # count matrix (1.3 MB) must be the only n x c array: the bound sits
+        # between the peak with it alone (3.1 MB) and with copies of it (6.1 MB)
+        rng = np.random.default_rng(7)
+        k = np.minimum(rng.zipf(2.0, 4000), 30)
+        pull = 1 / np.arange(1, 4001) ** 0.6
+        links = np.stack([np.repeat(np.arange(4000), k), rng.choice(4000, k.sum(), p=pull / pull.sum())], 1)
+        g = BipartiteGraph([(f"L{i}", f"R{j}") for i, j in np.unique(links, axis=0).tolist()])
+        _, peak = traced_peak(lambda: hellrank(g, Side.LEFT))
+        assert peak < 4.5e6
 
 
 class TestAdversarialKernel:
@@ -631,3 +665,57 @@ def test_unit_weights_give_the_unweighted_scores(case):
                 continue
             for mode in MODES:
                 assert hellrank(unit, side, mode, weighted=True).scores == hellrank(plain, side, mode).scores
+
+
+# -- the kernel's preamble and gram blocks against loops ------------------------
+
+TWO_UP = np.nextafter(2.0, 3.0)  # its square root is sqrt(2.0)
+
+
+@st.composite
+def count_matrices(draw):
+    """Count matrices of 1 to 40 rows drawn from a few base rows: repeated
+    rows, all-zero rows, rows scaled by 2 or 4 (equal once normalized), and
+    counts 2.0 and TWO_UP, whose equal roots have unequal raw masses."""
+    c = draw(st.integers(1, 4))
+    count = st.sampled_from([0.0, 0.25, 1.0, 2.0, TWO_UP, 3.0])
+    base = draw(st.lists(st.lists(count, min_size=c, max_size=c), min_size=1, max_size=4))
+    base.append([0.0] * c)
+    rows = draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from([1.0, 2.0, 4.0])),
+                         min_size=1, max_size=40))
+    return np.array([[x * f for x in row] for row, f in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_matrices(), st.sampled_from(MODES), st.sampled_from([1, graph_module._BLOCK_ELEMENTS]))
+# equal roots, unequal masses, interleaved
+@example(np.array([[2.0], [TWO_UP], [2.0], [TWO_UP]]), DistanceMode.RAW, 1)
+# more rows than an insertion sort takes: only a stable sort keeps node order
+@example(np.array([[(7 * i) % 3, 1.0] for i in range(60)]), DistanceMode.NORMALIZED, 1)
+def test_distinct_rows_match_the_dict_oracle(C, mode, budget):
+    normalized = mode is DistanceMode.NORMALIZED
+    totals = hellinger._row_sums(C)
+    want = sqrt_mass_rows(C, totals, normalized)
+    S, masses, _ = hellinger._sqrt_mass_matrix(C, mode)
+    assert S is C  # computed in the count matrix's own array
+    assert np.array_equal(S, want)
+    assert np.array_equal(masses, (totals > 0).astype(float) if normalized else totals)
+    saved = graph_module._BLOCK_ELEMENTS
+    graph_module._BLOCK_ELEMENTS = budget  # budget 1 compares one pair of rows at a time
+    try:
+        got = hellinger._unique_rows(S, masses)
+    finally:
+        graph_module._BLOCK_ELEMENTS = saved
+    for mine, ref in zip(got, dict_unique_rows(S, masses)):
+        assert np.array_equal(mine, ref)
+
+
+@pytest.mark.parametrize("budget", [1, graph_module._BLOCK_ELEMENTS])
+def test_gram_blocks_match_one_scatter_per_column(budget, monkeypatch):
+    # budget 1 scatters one row of a column's products at a time
+    monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", budget)
+    rng = np.random.default_rng(11)
+    for u, c, p in ((1, 1, 1.0), (40, 3, 0.5), (300, 12, 0.2)):
+        S = np.sqrt(rng.random((u, c)) * (rng.random((u, c)) < p))
+        for lo, hi in [(0, u), *hellinger._blocks(u, 16)]:
+            assert np.array_equal(hellinger._gram(S, lo, hi), column_gram(S, lo, hi))
