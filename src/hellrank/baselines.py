@@ -7,16 +7,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import partial
 
 import numpy as np
 
 from . import graph as graph_module
 from .graph import BipartiteGraph, Side, _co_occurrences, _side_range, project
 from .scores import CentralityScores
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "PageRankConfig",
@@ -63,17 +60,59 @@ class PageRankConfig:
 
 # -- adjacency and breadth-first search --------------------------------------
 
-def _product(graph: BipartiteGraph):
-    """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy.
+class _Rows:
+    """The links of the CSR ``ptr``, ``col`` from its rows to ``n_target``
+    nodes, each of weight 1 or ``weight``, read for (column, node) pairs of
+    a block of up to ``width`` columns.  A row's pair has the key
+    column * rows + row and a target's column * n_target + target, so a
+    block's arrays are (column, node) arrays, flattened."""
 
-    ``np.bincount`` adds each row's terms one at a time in CSR order,
-    starting from 0.0, as scipy's ``csr_matvec`` does, so every float equals
-    scipy's.  ``np.add.reduceat`` would not: it sums a row of 8 or more terms
-    pairwise.
+    def __init__(self, ptr: np.ndarray, col: np.ndarray, n_target: int, width: int = 1,
+                 weight: np.ndarray | None = None):
+        self.ptr, self.degree = ptr, np.diff(ptr)
+        self.target = (col[: ptr[-1]] + n_target * np.arange(width)[:, None]).ravel()
+        self.weight = None if weight is None else np.tile(weight, width)
+
+    def __call__(self, keys: np.ndarray) -> tuple:
+        """(owner, target, weight) per link of the pairs ``keys``, pair
+        after pair in CSR order: its pair's place in ``keys``, its target
+        pair's key, and its weight (None for weight 1)."""
+        column, node = np.divmod(keys, len(self.degree))
+        degree = self.degree[node]
+        owner = np.repeat(np.arange(len(keys)), degree)
+        at = (self.ptr[node] + column * self.ptr[-1] - np.cumsum(degree) + degree).take(owner)
+        at += np.arange(len(at))
+        return owner, self.target.take(at), None if self.weight is None else self.weight.take(at)
+
+
+def _pull(links: tuple, x: np.ndarray, n: int) -> np.ndarray:
+    """Per pair of the n whose ``links`` these are, the weighted sum of x
+    over its targets: ``A @ x`` on those pairs.
+
+    ``np.bincount`` adds each pair's terms one at a time in link order,
+    starting from 0.0.  For links in CSR order that is what scipy's
+    ``csr_matvec`` and ``csr_matvecs`` do, so every float equals scipy's.
+    ``np.add.reduceat`` would not: it sums a row of 8 or more terms pairwise.
     """
-    indices, n = graph._indices, len(graph._degree)
-    rows = np.repeat(np.arange(n), graph._degree)
-    return lambda x: np.bincount(rows, weights=x[indices], minlength=n)
+    owner, target, weight = links
+    terms = x.take(target) if weight is None else x.take(target) * weight
+    return np.bincount(owner, weights=terms, minlength=n)
+
+
+def _push(links: tuple, values: np.ndarray, n: int) -> np.ndarray:
+    """The n sums of the pairs' ``values`` spread to the targets of their
+    unweighted ``links``: ``A @ x`` for x holding ``values`` on the pairs
+    and 0 elsewhere.  A target adds its terms in link order, not in the
+    order of its own row, which gives scipy's sums for integer values only."""
+    owner, target, _ = links
+    return np.bincount(target, weights=values.take(owner), minlength=n)
+
+
+def _product(graph: BipartiteGraph):
+    """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy."""
+    n = len(graph._degree)
+    every = _Rows(graph._indptr, graph._indices, n)(np.arange(n))
+    return lambda x: _pull(every, x, n)
 
 
 def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side) -> dict[str, float]:
@@ -161,30 +200,145 @@ def _hops(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return reached, total
 
 
-def _bfs(A: sp.csr_matrix, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Level masks and shortest-path counts from the sources lo..hi-1, one
-    column per source: ``levels[l]`` marks the nodes at hop distance l.
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, col) of the n-row CSR of the links rows[j] -> cols[j], sorted by row."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n)))), cols
 
-    All sources advance one level per sparse product: the path counts of a
-    level's nodes, summed over their neighbors, are the counts of the next
-    level's nodes.
+
+class _Adjacency:
+    """The betweenness sweep's BFS over the reduced graph's own CSR.
+
+    ``blocks`` pushes each level's path counts along its links, which is
+    exact for integers.  ``product`` sums each pair of a level over its own
+    row in CSR order, as scipy's CSR product does, so every float is the
+    same.
     """
-    cols = np.arange(hi - lo)
-    sigma = np.zeros((A.shape[0], hi - lo))
-    sigma[lo + cols, cols] = 1.0
-    levels = [sigma > 0]
-    frontier = sigma
-    while True:
-        reach = A @ frontier
-        new = (reach > 0) & (sigma == 0)
-        if not new.any():
-            return levels, sigma
-        frontier = reach * new
-        sigma += frontier
-        levels.append(new)
+
+    def __init__(self, kept: np.ndarray, ptr: np.ndarray, col: np.ndarray, width: int):
+        self.links = _Rows(ptr, col, len(ptr) - 1, width)
+
+    def blocks(self, m: int, width: int):
+        """Per block lo..hi-1 of ``width`` sources among the m kept nodes,
+        (lo, hi, levels, sigma): per hop distance l, the (source, node) pairs
+        at l, keys (source - lo) * m + node in ascending order, with their
+        links; and every pair's path count, flattened from a (source, node)
+        array."""
+        for lo in range(0, m, width):
+            hi = min(lo + width, m)
+            sigma = np.zeros((hi - lo) * m)
+            keys = np.arange(hi - lo) * (m + 1) + lo  # source lo + j in row j
+            sigma[keys] = 1.0
+            levels = []
+            while len(keys):
+                levels.append((keys, self.links(keys)))
+                reach = _push(levels[-1][1], sigma[keys], len(sigma))
+                keys = np.flatnonzero((reach > 0) & (sigma == 0))
+                sigma[keys] = reach[keys]
+            yield lo, hi, levels, sigma
+
+    def product(self, into: tuple, level: tuple, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` on the pairs of ``into``, for x 0 outside those of ``level``."""
+        keys, links = into
+        return _pull(links, x, len(keys))
 
 
-def _sweep(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+class _Incidence:
+    """The betweenness sweep's BFS over the kept nodes of the side's
+    projection, read through the graph's incidence (Kepner & Gilbert,
+    "Graph Algorithms in the Language of Linear Algebra", 2011).
+
+    With B_K the kept nodes' rows of the biadjacency, (B_K B_Kᵀ)[u, v] is c,
+    the number of neighbors u and v share, so the projection's adjacency is
+    B_K B_Kᵀ - E - D, where E holds c - 1 for each pair sharing 2 or more and
+    D the degrees.  A level's product is B_K (B_Kᵀ x) - E x: it reads the
+    level's links to the other side, the next level's links back and its
+    multi-shared pairs, not each of its projected edges.  D x is left in: it
+    is 0 on every pair the sweep reads, since x is 0 there.  Other-side
+    nodes with fewer than 2 kept neighbors add only to D and are left out.
+
+    ``blocks`` finds the levels first, from a bitset per node with one bit
+    per source (Then et al., "The More the Merrier: Efficient Multi-Source
+    Graph Traversal", VLDB 2014), and then their path counts with
+    ``product``.
+    """
+
+    def __init__(self, graph: BipartiteGraph, side: Side, kept: np.ndarray, ptr: np.ndarray,
+                 col: np.ndarray, width: int):
+        lo, hi = _side_range(graph, side)
+        olo, ohi = _side_range(graph, side.other)
+        ids = np.cumsum(kept) - 1
+        m = self.m = len(ptr) - 1
+        deg, indptr, indices = graph._degree, graph._indptr, graph._indices
+        other = indices[indptr[olo] : indptr[ohi]] - lo
+        rows = np.repeat(np.arange(ohi - olo), deg[olo:ohi])
+        on = kept[other]
+        shared = np.bincount(rows[on], minlength=ohi - olo) >= 2  # those with 2 kept neighbors
+        on &= shared[rows]
+        wid = np.cumsum(shared) - 1
+        self.n_other = np.count_nonzero(shared)
+        self.down = _csr(wid[rows[on]], ids[other[on]], self.n_other)
+        mine = indices[indptr[lo] : indptr[hi]] - olo
+        on = np.repeat(kept, deg[lo:hi]) & shared[mine]
+        self.up = _csr(ids[np.repeat(np.arange(hi - lo), deg[lo:hi])[on]], wid[mine[on]], m)
+        pairs = [np.zeros((3, 0), dtype=np.int64)]
+        for a, _, u, v, c in _co_occurrences(graph, side):
+            u = u + a
+            multi = (c >= 2) & kept[u] & kept[v]
+            pairs.append(np.stack((ids[u[multi]], ids[v[multi]], c[multi] - 1)))
+        u, v, c = np.concatenate(pairs, axis=1)
+        self.links_up = _Rows(*self.up, self.n_other, width)
+        self.links_extra = _Rows(*_csr(u, v, m), m, width, weight=c.astype(float))
+
+    def hop_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
+        """The (source, node) array of hop distances from the sources
+        lo..hi-1, -1 where unreached, from a bitset per node."""
+        (down_ptr, down_col), (up_ptr, up_col) = self.down, self.up
+        source = np.arange(hi - lo)
+        frontier = np.zeros((m, -(-(hi - lo) // 64)), dtype=np.uint64)
+        frontier[lo + source, source // 64] = np.uint64(1) << (source % 64).astype(np.uint64)
+        unseen = ~frontier
+        hops = np.full((hi - lo, m), -1, dtype=np.int32)
+        for level in range(m):  # a BFS of m nodes ends within m levels
+            rows = np.flatnonzero(frontier.any(axis=1))
+            if not len(rows):
+                return hops
+            words = frontier[rows].astype("<u8", copy=False)  # bit j is source lo + j
+            row, bit = np.nonzero(np.unpackbits(words.view(np.uint8), axis=1, bitorder="little"))
+            hops[bit, rows[row]] = level
+            y = np.bitwise_or.reduceat(frontier.take(down_col, axis=0), down_ptr[:-1], axis=0)
+            frontier = np.bitwise_or.reduceat(y.take(up_col, axis=0), up_ptr[:-1], axis=0) & unseen
+            unseen ^= frontier
+        return hops
+
+    def blocks(self, m: int, width: int):
+        """As ``_Adjacency.blocks``.  The hop distances come first, for as
+        many whole blocks as fill 64 bits, then each level's path counts
+        from ``product``."""
+        group = width * max(1, 64 // width)
+        for start in range(0, m, group):
+            hops = self.hop_distances(m, start, min(start + group, m))
+            for lo in range(start, min(start + group, m), width):
+                hi = min(lo + width, m)
+                mine = hops[lo - start : hi - start].ravel()
+                levels = [np.flatnonzero(mine == level) for level in range(mine.max() + 1)]
+                levels = [(keys, (self.links_up(keys), self.links_extra(keys))) for keys in levels]
+                sigma, x = np.zeros((2, len(mine)))
+                sigma[levels[0][0]] = 1.0
+                for before, level in zip(levels, levels[1:]):
+                    x[before[0]] = sigma[before[0]]
+                    sigma[level[0]] = self.product(level, before, x)
+                    x[before[0]] = 0.0
+                yield lo, hi, levels, sigma
+
+    def product(self, into: tuple, level: tuple, x: np.ndarray) -> np.ndarray:
+        """As ``_Adjacency.product``."""
+        keys, (up, _) = level
+        y = _push(up, x[keys], self.n_other * (len(x) // self.m))
+        keys, (up, extra) = into
+        return _pull(up, y, len(keys)) - _pull(extra, x, len(keys))
+
+
+def _sweep(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> np.ndarray:
     """Per node of the symmetric CSR ``indptr``, ``indices``: its unweighted
     betweenness (endpoints excluded, each pair counted once).
 
@@ -204,31 +358,30 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     no shortest path.  The result is the unfolded sweep's up to the order in
     which floats are added.
 
-    Each source's dependencies are added in source order, one source at a
-    time, so no bit of the result depends on how the sources were blocked.
+    ``through(kept, ptr, col, width)`` runs the BFS of each block and its
+    products with the reduced graph, by default through its own CSR.  A
+    level touches only its own pairs and their links, not every node.  Each
+    source's dependencies are added in source order, one source at a time,
+    so no bit of the result depends on how the sources were blocked.
     """
-    # imported here, so that only betweenness loads scipy
-    import scipy.sparse as sp
-
     _, _, k, kept, ptr, col = _fold(indptr, indices)
     m = len(ptr) - 1
-    B = sp.csr_matrix((np.ones(len(col)), col, ptr), shape=(m, m))
+    width = max(1, min(m, graph_module._BLOCK_ELEMENTS // max(m, 1)))  # the budget _co_occurrences reads
+    step = through(kept, ptr, col, width)
     weight = 1.0 + k[kept]
     bc = np.zeros(m)
     reached = np.zeros(m, dtype=np.int64)
-    step = max(1, graph_module._BLOCK_ELEMENTS // max(m, 1))  # the budget _co_occurrences reads
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        levels, sigma = _bfs(B, lo, hi)
-        reached[lo:hi] = (1 + k[kept]) @ (sigma > 0) - 1
-        divisor = np.where(sigma > 0, sigma, 1.0)
-        delta = np.zeros(sigma.shape)
-        for level in range(len(levels) - 1, 1, -1):
-            share = (weight[:, None] + delta) * levels[level] / divisor
-            delta += levels[level - 1] * sigma * (B @ share)
-        for column, times in zip(delta.T, 1 + k[kept][lo:hi]):
+    for lo, hi, levels, sigma in step.blocks(m, width):
+        reached[lo:hi] = (sigma.reshape(hi - lo, m) > 0) @ (1 + k[kept]) - 1
+        delta, share = np.zeros((2, len(sigma)))
+        for l in range(len(levels) - 1, 1, -1):
+            keys, into = levels[l][0], levels[l - 1][0]
+            share[keys] = (weight[keys % m] + delta[keys]) / sigma[keys]
+            delta[into] = sigma[into] * step.product(levels[l - 1], levels[l], share)  # its only term
+            share[keys] = 0.0
+        for row, times in zip(delta.reshape(hi - lo, m), 1 + k[kept][lo:hi]):
             for _ in range(times):
-                bc += column
+                bc += row
     halved = np.zeros(len(k))
     halved[kept] = bc / 2.0
     pairs = k * (k - 1) // 2
@@ -458,7 +611,7 @@ def projected_centrality(
         values = _closeness_values(proj, np.full(n, float(n - 1)), "projected closeness")
     elif metric == "betweenness":
         denom = (n - 1) * (n - 2) / 2.0
-        raw = _sweep(proj._indptr, proj._indices)
+        raw = _sweep(proj._indptr, proj._indices, partial(_Incidence, graph, side))
         values = raw / denom if denom > 0 else np.zeros(n)
     else:
         raise ValueError(f"unknown projected metric {metric!r}")

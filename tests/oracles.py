@@ -5,7 +5,8 @@ exhaustive path enumeration.  Nothing imports from the production distance
 or clustering code paths beyond the graph container itself.  The exception
 are the last two sections: a copy of the scipy.sparse distance kernel that
 the dense kernel must match bit for bit, and a copy of the BFS sweep from
-before degree-1 folding, whose hop counts the folded sweep must match.
+before degree-1 folding, with scipy's CSR product, whose hop counts the
+folded sweep must match.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 import numpy as np
 
 from hellrank import graph as graph_module
-from hellrank.baselines import _bfs
 from hellrank.graph import BipartiteGraph, Side, _frozen
 
 
@@ -410,6 +410,24 @@ def sparse_kernel(monkeypatch) -> None:
 # reached and total must come out equal, and its betweenness within 1e-12.
 
 
+def scipy_bfs(A, lo: int, hi: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Level masks and shortest-path counts from the sources lo..hi-1 of the
+    scipy CSR ``A``, one column per source, one sparse product per level."""
+    cols = np.arange(hi - lo)
+    sigma = np.zeros((A.shape[0], hi - lo))
+    sigma[lo + cols, cols] = 1.0
+    levels = [sigma > 0]
+    frontier = sigma
+    while True:
+        reach = A @ frontier
+        new = (reach > 0) & (sigma == 0)
+        if not new.any():
+            return levels, sigma
+        frontier = reach * new
+        sigma += frontier
+        levels.append(new)
+
+
 def unfolded_sweep(A, betweenness: bool) -> tuple[np.ndarray, ...]:
     """Per node of the symmetric CSR ``A``: the number of other nodes it
     reaches and the sum of its hop distances to them; with ``betweenness``,
@@ -431,7 +449,7 @@ def unfolded_sweep(A, betweenness: bool) -> tuple[np.ndarray, ...]:
     step = max(1, graph_module._BLOCK_ELEMENTS // max(n, 1))  # the budget _co_occurrences reads
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        levels, sigma = _bfs(A, lo, hi)
+        levels, sigma = scipy_bfs(A, lo, hi)
         for level in range(1, len(levels)):
             # a product counts a level's nodes several times faster than .sum(axis=0)
             count = (ones @ levels[level]).astype(np.int64)

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+from functools import partial
 
 import networkx as nx
 import numpy as np
@@ -33,7 +34,7 @@ from hellrank import graph as graph_module
 from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
 from hellrank.cli import run
 
-from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite, unfolded_sweep
+from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite, scipy_bfs, unfolded_sweep
 from test_imports import SRC, fresh_run
 
 
@@ -484,6 +485,17 @@ def fold_csrs(graph):
         yield project(graph, side)
 
 
+def swept_csrs(graph):
+    """(CSR, how the sweep reads it) of every sweep the baselines run: the
+    graph through its own CSR, each projection through the graph's
+    incidence, and each projection through its own CSR as well."""
+    yield graph, baselines._Adjacency
+    for side in (Side.LEFT, Side.RIGHT):
+        proj = project(graph, side)
+        yield proj, partial(baselines._Incidence, graph, side)
+        yield proj, baselines._Adjacency
+
+
 def kept_nodes(G):
     """The nodes the fold keeps, from networkx degrees: not a leaf, and with
     a neighbor that is not a leaf.  A leaf has degree 1 and a neighbor of
@@ -509,9 +521,9 @@ class TestDegreeOneFold:
 
     def test_betweenness_matches_unfolded_sweep_and_networkx(self):
         for g in fold_graphs():
-            for csr in fold_csrs(g):
+            for csr, through in swept_csrs(g):
                 A = scipy_adjacency(csr)
-                bc = baselines._sweep(csr._indptr, csr._indices)
+                bc = baselines._sweep(csr._indptr, csr._indices, through)
                 np.testing.assert_allclose(bc, unfolded_sweep(A, True)[2], rtol=1e-12, atol=0)
                 raw = nx.betweenness_centrality(nx.from_scipy_sparse_array(A), normalized=False)
                 np.testing.assert_allclose(bc, [raw[v] for v in range(A.shape[0])],
@@ -519,13 +531,13 @@ class TestDegreeOneFold:
 
     def test_one_source_column_per_kept_node(self, monkeypatch):
         columns = []
-        bfs = baselines._bfs
+        for cls in (baselines._Adjacency, baselines._Incidence):
+            def counted(self, m, width, blocks=cls.blocks):
+                for block in blocks(self, m, width):
+                    columns.append(block[1] - block[0])
+                    yield block
 
-        def counted(A, lo, hi):
-            columns.append(hi - lo)
-            return bfs(A, lo, hi)
-
-        monkeypatch.setattr(baselines, "_bfs", counted)
+            monkeypatch.setattr(cls, "blocks", counted)
         g = mixed_fold_graph()
         baselines._sweep(g._indptr, g._indices)
         assert len(g._degree) == 21 and sum(columns) == 8
@@ -536,11 +548,39 @@ class TestDegreeOneFold:
         assert columns == []  # every node is a leaf or dropped
         assert (reached == 1).all() and (total == 1).all() and (bc == 0).all()
         for g in fold_graphs():
-            for csr in fold_csrs(g):
+            for csr, through in swept_csrs(g):
                 columns.clear()
-                baselines._sweep(csr._indptr, csr._indices)
+                baselines._sweep(csr._indptr, csr._indices, through)
                 G = nx.from_scipy_sparse_array(scipy_adjacency(csr))
                 assert sum(columns) == len(kept_nodes(G))
+
+
+def test_bipartite_levels_and_products_equal_scipy():
+    # the bipartite graph's BFS and level product against scipy's CSR
+    # product, on blocks whose sources run from kept left nodes into
+    # kept right nodes; every float must be the same
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(3)
+    mixed = 0
+    for g in [*fold_graphs(), *hub_graphs()]:
+        _, _, _, kept, ptr, col = baselines._fold(g._indptr, g._indices)
+        m, left = len(ptr) - 1, np.count_nonzero(kept[: g.n1])  # kept left nodes come first
+        A = sp.csr_matrix((np.ones(len(col)), col, ptr), shape=(m, m))
+        for width in {max(m, 1), 2, 3, 5}:
+            step = baselines._Adjacency(kept, ptr, col, width)
+            for lo, hi, levels, sigma in step.blocks(m, width):
+                mixed += lo < left < hi
+                ref_levels, ref_sigma = scipy_bfs(A, lo, hi)
+                assert np.array_equal(sigma.reshape(hi - lo, m), ref_sigma.T)
+                assert len(levels) == len(ref_levels)
+                for (keys, _), mask in zip(levels, ref_levels):
+                    assert np.array_equal(keys, np.flatnonzero(mask.T))
+                for into, level in zip(levels, levels[1:]):
+                    X = rng.random((m, hi - lo)) * 1e3 ** rng.random((m, hi - lo))
+                    got = step.product(into, level, X.T.ravel())
+                    assert np.array_equal(got, (A @ X).T.ravel()[into[0]])
+    assert mixed >= 5
 
 
 @st.composite
@@ -576,6 +616,64 @@ def test_hops_equal_the_unfolded_sweep(g):
                 graph_module._BLOCK_ELEMENTS = size
                 mine = baselines._hops(csr._indptr, csr._indices)
                 assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
+    finally:
+        graph_module._BLOCK_ELEMENTS = budget
+
+
+@st.composite
+def projection_graphs(draw):
+    """A bipartite graph of a random core, pairs of nodes on either side that
+    share 2-4 neighbors (so that the projection's co-occurrence counts
+    exceed 1), stars, K2 components, isolated nodes on both sides and at
+    most one broom."""
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n1 - 1), st.integers(0, n2 - 1))
+    edges = [(f"c{i}", f"C{j}") for i, j in draw(st.lists(pair, max_size=24))]
+    for s, (shared, right, (i, j), (x, y)) in enumerate(draw(st.lists(
+            st.tuples(st.integers(2, 4), st.booleans(), pair, pair), max_size=3))):
+        # p and q share `shared` new neighbors, and each has one more in the
+        # core, so that a shortest path can run from p's through q to q's
+        if right:
+            edges += [(f"t{s}.{k}", f"{end}{s}") for end in "PQ" for k in range(shared)]
+            edges += [(f"c{i}", f"P{s}"), (f"c{x}", f"Q{s}")]
+        else:
+            edges += [(f"{end}{s}", f"T{s}.{k}") for end in "pq" for k in range(shared)]
+            edges += [(f"p{s}", f"C{j}"), (f"q{s}", f"C{y}")]
+    for s, size in enumerate(draw(st.lists(st.integers(1, 5), max_size=3))):
+        edges += [(f"s{s}", f"S{s}.{j}") for j in range(size)]
+    edges += [(f"k{i}", f"K{i}") for i in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        # a broom as in hop_graphs: its 63-65 spokes are a projected clique
+        # of kept nodes, so a block of sources spans one or two 64-bit words,
+        # and each spoke has a leaf whose pairs count the spoke's reach
+        spokes, flip = draw(st.sampled_from([63, 64, 65])), draw(st.booleans())
+        broom = [(u, f"H{i}") for i in range(spokes) for u in ("h", f"l{i}")]
+        broom += [(f"l{i}", f"R{i}") for i in range(spokes)]
+        edges += [(v, u) for u, v in broom] if flip else broom
+    isolated = [[f"i{j}" for j in range(draw(st.integers(0, 2)))] for _ in range(2)]
+    return BipartiteGraph(edges, isolated_left=isolated[0], isolated_right=isolated[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(projection_graphs())
+def test_projected_betweenness_matches_networkx(g):
+    # the sweep through the incidence, B_K (B_Kᵀ x) - E x, against networkx
+    # on the projection, and the same bits under every block budget
+    budget = graph_module._BLOCK_ELEMENTS
+    G, _ = to_networkx(g)
+    try:
+        for side in (Side.LEFT, Side.RIGHT):
+            proj = project(g, side)
+            values = []
+            for size in (1, 100, 8192):
+                graph_module._BLOCK_ELEMENTS = size
+                values.append(baselines._sweep(proj._indptr, proj._indices,
+                                               partial(baselines._Incidence, g, side)))
+            assert all(np.array_equal(values[0], v) for v in values[1:])
+            raw = nx.betweenness_centrality(nxb.projected_graph(G, side_nodes(g, side)[1]),
+                                            normalized=False)
+            ref = [raw[v] for v in side_nodes(g, side)[1]]
+            np.testing.assert_allclose(values[0], ref, rtol=1e-12, atol=0)
     finally:
         graph_module._BLOCK_ELEMENTS = budget
 
@@ -707,15 +805,21 @@ class TestSweepMemo:
 
     def test_betweenness_runs_no_hop_count(self, monkeypatch):
         # the sweep's own BFS gives the reach of its closed-form leaf pairs;
-        # the digests are of the values when that reach came from _hops
+        # the graph's digest is of the values when that reach came from
+        # _hops, and the projections' are of their sweeps through the graph's
+        # incidence, within 3.1e-16 relative of their sweeps with scipy's
+        # product of the projection
         calls = []
         hops = baselines._hops
         monkeypatch.setattr(baselines, "_hops", lambda *args: calls.append(args) or hops(*args))
         g = BipartiteGraph(giant_and_small_components(9))
-        digests = [hashlib.sha256(baselines._sweep(c._indptr, c._indices).tobytes()).hexdigest()[:16]
-                   for c in (g, project(g, Side.LEFT), project(g, Side.RIGHT))]
+        sweeps = [(g, baselines._Adjacency)]
+        sweeps += [(project(g, side), partial(baselines._Incidence, g, side))
+                   for side in (Side.LEFT, Side.RIGHT)]
+        digests = [hashlib.sha256(baselines._sweep(c._indptr, c._indices, through).tobytes())
+                   .hexdigest()[:16] for c, through in sweeps]
         assert calls == []
-        assert digests == ["e1b8526d75cae2ba", "4b971b1e7347241e", "1896bcfb157b0b9b"]
+        assert digests == ["e1b8526d75cae2ba", "ed7ddd25bf85c488", "512800fec7397102"]
 
     @pytest.mark.parametrize("metric", ["all", "closeness2", "closeness1"])
     def test_only_betweenness_sweeps(self, metric, tmp_path, monkeypatch):
@@ -727,9 +831,9 @@ class TestSweepMemo:
         sizes = []
         sweep = baselines._sweep
 
-        def counted(indptr, indices):
+        def counted(indptr, indices, *through):
             sizes.append(len(indptr) - 1)
-            return sweep(indptr, indices)
+            return sweep(indptr, indices, *through)
 
         monkeypatch.setattr(baselines, "_sweep", counted)
         with pytest.warns(DisconnectedGraphWarning), contextlib.redirect_stdout(io.StringIO()):

@@ -1,11 +1,10 @@
 """Which modules each command loads, and how the CLI sets up the process.
 
-Importing scipy.sparse takes about 0.21-0.25 s on top of numpy, most of a
-small `scores` run, so the distance kernel's commands must load none of
-scipy, nor must PageRank, eigenvector, closeness or `null-model`; only the
-BFS sweep of betweenness imports `scipy.sparse`, on use.  `import hellrank` alone loads
-no submodule and no numpy, and the CLI sets `OPENBLAS_NUM_THREADS` before
-numpy loads unless the user has set it.
+The package needs numpy alone: no command loads any scipy module, and one
+runs in an interpreter where scipy cannot be imported at all.  Importing
+scipy.sparse would add about 0.2 s and 22 MB to a small run.  `import
+hellrank` alone loads no submodule and no numpy, and the CLI sets
+`OPENBLAS_NUM_THREADS` before numpy loads unless the user has set it.
 """
 
 import contextlib
@@ -27,15 +26,19 @@ CORRELATE = ["correlate", "--dataset", "davis", "--metric-a", "degree2", "--metr
 NULL_MODEL = ["null-model", "--n1", "6", "--n2", "40", "--p", "0.15", "--k", "6", "--samples", "100"]
 
 
-def fresh_run(argv: list[str] | None, openblas: str | None = None, numpy_first: bool = False) -> dict:
+def fresh_run(argv: list[str] | None, openblas: str | None = None, numpy_first: bool = False,
+              no_scipy: bool = False) -> dict:
     """Exit code, stdout, loaded scipy and hellrank modules, whether numpy
     loaded, and the final ``OPENBLAS_NUM_THREADS`` of ``argv`` run in a new
     interpreter (``None``: only import the package; ``[]``: import the CLI
     too).  ``openblas`` is the variable's value at start (``None``: unset);
-    ``numpy_first`` imports numpy before the package."""
+    ``numpy_first`` imports numpy before the package; with ``no_scipy`` any
+    import of scipy raises ImportError."""
     code = (
         "import contextlib, io, json, os, sys\n"
         "argv = json.loads(sys.argv[1])\n"
+        "if sys.argv[3] == 'no-scipy':\n"
+        "    sys.modules['scipy'] = None\n"
         "if sys.argv[2] == 'numpy':\n"
         "    import numpy\n"
         "import hellrank\n"
@@ -57,7 +60,8 @@ def fresh_run(argv: list[str] | None, openblas: str | None = None, numpy_first: 
     if openblas is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas
     done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argv), "numpy" if numpy_first else "-"],
+        [sys.executable, "-c", code, json.dumps(argv), "numpy" if numpy_first else "-",
+         "no-scipy" if no_scipy else "-"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -141,11 +145,28 @@ def test_closeness_loads_no_scipy(argv):
     assert result["scipy"] == []
 
 
-def test_all_metrics_load_sparse_but_not_linalg():
-    result = fresh_run(["scores", "--dataset", "davis", "--metric", "all"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scores", "--dataset", "davis", "--metric", "all"],
+        ["scores", "--dataset", "davis", "--metric", "betweenness1"],
+        ["scores", "--dataset", "davis", "--metric", "betweenness2"],
+        ["correlate", "--dataset", "davis", "--metric-a", "betweenness1", "--metric-b",
+         "betweenness2"],
+    ],
+)
+def test_betweenness_loads_no_scipy(argv):
+    result = fresh_run(argv)
     assert result["status"] == 0
-    assert "scipy.sparse" in result["scipy"]
-    assert not [m for m in result["scipy"] if m.startswith("scipy.linalg")]
+    assert result["scipy"] == []
+
+
+def test_all_metrics_run_where_scipy_cannot_be_imported():
+    argv = ["scores", "--dataset", "davis", "--metric", "all"]
+    blocked, plain = fresh_run(argv, no_scipy=True), fresh_run(argv)
+    assert blocked["status"] == plain["status"] == 0
+    assert blocked["out"] == plain["out"]
+    assert len(blocked["out"].splitlines()) == 19
 
 
 @pytest.mark.parametrize("method", ["empirical", "model"])
@@ -159,8 +180,8 @@ def test_null_model_loads_no_scipy(method):
     "argv", [["scores", "--dataset", "davis", "--metric", "all"], CORRELATE, NULL_MODEL]
 )
 def test_lazy_imports_resolve(argv):
-    # a fresh interpreter imports scipy on use and prints what this one,
-    # which has loaded scipy already, prints
+    # a fresh interpreter loads each submodule on first use and prints what
+    # this one, which has loaded them already, prints
     result = fresh_run(argv)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
