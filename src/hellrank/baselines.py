@@ -151,53 +151,26 @@ def _fold(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
     return leaf, parent, k, kept, ptr, ids[indices[links]]
 
 
-def _hops(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per node of the symmetric CSR ``indptr``, ``indices``: the number of
-    other nodes it reaches and the sum of its hop distances to them.
+def _levels(chain: tuple, frontier: np.ndarray):
+    """Per hop 0, 1, 2, ... of a multi-source BFS, the bitset rows of the
+    nodes first reached at it, up to the last hop that reaches any (Then et
+    al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
+    VLDB 2014).
 
-    A multi-source BFS over the reduced graph of ``_fold`` carries 64
-    sources per ``uint64`` word, one bit each (Then et al., "The More the
-    Merrier: Efficient Multi-Source Graph Traversal", VLDB 2014).  A level
-    ORs each node's neighbors' frontier words and keeps the bits not seen
-    before.  The graph is undirected, so a kept source s that reaches a kept
-    node t at hop l is counted at t: it stands for 1 + k_s nodes, s at hop l
-    and its k_s leaves at hop l + 1.  A word holds sources of one k, so each
-    of its bits weighs the same.  A kept node also reaches its own k leaves
-    at hop 1, a leaf of p reaches what p reaches (R_p nodes, itself out and
-    p in) one hop further, so its distance sum is total_p + R_p - 1, and a
-    dropped node with k leaves reaches them at hop 1.  These are integer
-    counts, so no blocking changes a bit.
+    ``frontier``, hop 0, holds one row of ``uint64`` words per node, with
+    each source's bit set in its own row.  A hop ORs the rows of each CSR
+    (ptr, col) of ``chain`` in turn, every row of a CSR over its columns,
+    and keeps the bits not seen before.  Every row of a CSR must be
+    non-empty: ``reduceat`` reads an empty row as its next entry.
     """
-    leaf, parent, k, kept, ptr, col = _fold(indptr, indices)
-    # the kept sources in order of k, 64 to a word and one k per word
-    source = np.argsort(k[kept], kind="stable")
-    k_source = k[kept][source]
-    place = np.arange(len(source)) - np.searchsorted(k_source, k_source)  # among sources of its k
-    word = np.cumsum(place % 64 == 0) - 1
-    weights = np.stack([1 + k_source, k_source])[:, place % 64 == 0]  # per word: nodes, leaves
-    m, words = len(source), weights.shape[1]
-    found = np.stack([k[kept], k[kept]])  # per kept node: reached, distance sum; own leaves at hop 1
-    step = max(1, graph_module._BLOCK_ELEMENTS // max(len(col), 1))  # words per block
-    for lo in range(0, words, step):
-        hi = min(lo + step, words)
-        mine = (word >= lo) & (word < hi)
-        frontier = np.zeros((m, hi - lo), dtype=np.uint64)
-        frontier[source[mine], word[mine] - lo] = np.uint64(1) << (place[mine] % 64).astype(np.uint64)
-        unseen = ~frontier
-        for level in range(1, m + 1):  # a BFS of m nodes ends within m levels
+    unseen = ~frontier
+    while frontier.any():
+        yield frontier
+        for ptr, col in chain:
             # take(axis=0) gathers whole rows several times faster than frontier[col]
-            frontier = np.bitwise_or.reduceat(frontier.take(col, axis=0), ptr[:-1], axis=0) & unseen
-            if not frontier.any():
-                break
-            unseen ^= frontier
-            bits = np.unpackbits(frontier.view(np.uint8), axis=1).reshape(m, hi - lo, 64)
-            nodes, leaves = weights[:, lo:hi] @ bits.sum(axis=2, dtype=np.uint8).T
-            found += [nodes, level * nodes + leaves]  # a leaf is one hop past its source
-    reached, total = np.stack([k, k])  # a dropped node reaches its k leaves at hop 1
-    reached[kept], total[kept] = found
-    reached[leaf] = reached[parent]
-    total[leaf] = total[parent] + reached[parent] - 1
-    return reached, total
+            frontier = np.bitwise_or.reduceat(frontier.take(col, axis=0), ptr[:-1], axis=0)
+        frontier &= unseen
+        unseen ^= frontier
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +179,8 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
 
 
 class _Adjacency:
-    """The betweenness sweep's BFS over the reduced graph's own CSR.
+    """The BFS of the betweenness sweep and the hop count over the reduced
+    graph's own CSR.
 
     ``blocks`` pushes each level's path counts along its links, which is
     exact for integers.  ``product`` sums each pair of a level over its own
@@ -215,6 +189,7 @@ class _Adjacency:
     """
 
     def __init__(self, kept: np.ndarray, ptr: np.ndarray, col: np.ndarray, width: int):
+        self.chain = ((ptr, col),)
         self.links = _Rows(ptr, col, len(ptr) - 1, width)
 
     def blocks(self, m: int, width: int):
@@ -243,9 +218,9 @@ class _Adjacency:
 
 
 class _Incidence:
-    """The betweenness sweep's BFS over the kept nodes of the side's
-    projection, read through the graph's incidence (Kepner & Gilbert,
-    "Graph Algorithms in the Language of Linear Algebra", 2011).
+    """The BFS of the betweenness sweep and the hop count over the kept nodes
+    of the side's projection, read through the graph's incidence (Kepner &
+    Gilbert, "Graph Algorithms in the Language of Linear Algebra", 2011).
 
     With B_K the kept nodes' rows of the biadjacency, (B_K B_Kᵀ)[u, v] is c,
     the number of neighbors u and v share, so the projection's adjacency is
@@ -256,17 +231,16 @@ class _Incidence:
     is 0 on every pair the sweep reads, since x is 0 there.  Other-side
     nodes with fewer than 2 kept neighbors add only to D and are left out.
 
-    ``blocks`` finds the levels first, from a bitset per node with one bit
-    per source (Then et al., "The More the Merrier: Efficient Multi-Source
-    Graph Traversal", VLDB 2014), and then their path counts with
-    ``product``.
+    A hop of ``chain`` goes down B_Kᵀ to those other-side nodes and back up
+    B_K, which is all that ``_hops`` reads.  ``blocks`` finds the levels
+    first, from ``_levels``, and then their path counts with ``product``.
     """
 
     def __init__(self, graph: BipartiteGraph, side: Side, kept: np.ndarray, ptr: np.ndarray,
                  col: np.ndarray, width: int):
         lo, hi = _side_range(graph, side)
         olo, ohi = _side_range(graph, side.other)
-        ids = np.cumsum(kept) - 1
+        ids = self.ids = np.cumsum(kept) - 1
         m = self.m = len(ptr) - 1
         deg, indptr, indices = graph._degree, graph._indptr, graph._indices
         other = indices[indptr[olo] : indptr[ohi]] - lo
@@ -276,52 +250,41 @@ class _Incidence:
         on &= shared[rows]
         wid = np.cumsum(shared) - 1
         self.n_other = np.count_nonzero(shared)
-        self.down = _csr(wid[rows[on]], ids[other[on]], self.n_other)
         mine = indices[indptr[lo] : indptr[hi]] - olo
-        on = np.repeat(kept, deg[lo:hi]) & shared[mine]
-        self.up = _csr(ids[np.repeat(np.arange(hi - lo), deg[lo:hi])[on]], wid[mine[on]], m)
-        pairs = [np.zeros((3, 0), dtype=np.int64)]
-        for a, _, u, v, c in _co_occurrences(graph, side):
-            u = u + a
-            multi = (c >= 2) & kept[u] & kept[v]
-            pairs.append(np.stack((ids[u[multi]], ids[v[multi]], c[multi] - 1)))
-        u, v, c = np.concatenate(pairs, axis=1)
-        self.links_up = _Rows(*self.up, self.n_other, width)
-        self.links_extra = _Rows(*_csr(u, v, m), m, width, weight=c.astype(float))
-
-    def hop_distances(self, m: int, lo: int, hi: int) -> np.ndarray:
-        """The (source, node) array of hop distances from the sources
-        lo..hi-1, -1 where unreached, from a bitset per node."""
-        (down_ptr, down_col), (up_ptr, up_col) = self.down, self.up
-        source = np.arange(hi - lo)
-        frontier = np.zeros((m, -(-(hi - lo) // 64)), dtype=np.uint64)
-        frontier[lo + source, source // 64] = np.uint64(1) << (source % 64).astype(np.uint64)
-        unseen = ~frontier
-        hops = np.full((hi - lo, m), -1, dtype=np.int32)
-        for level in range(m):  # a BFS of m nodes ends within m levels
-            rows = np.flatnonzero(frontier.any(axis=1))
-            if not len(rows):
-                return hops
-            words = frontier[rows].astype("<u8", copy=False)  # bit j is source lo + j
-            row, bit = np.nonzero(np.unpackbits(words.view(np.uint8), axis=1, bitorder="little"))
-            hops[bit, rows[row]] = level
-            y = np.bitwise_or.reduceat(frontier.take(down_col, axis=0), down_ptr[:-1], axis=0)
-            frontier = np.bitwise_or.reduceat(y.take(up_col, axis=0), up_ptr[:-1], axis=0) & unseen
-            unseen ^= frontier
-        return hops
+        own = np.repeat(kept, deg[lo:hi]) & shared[mine]
+        self.chain = (_csr(wid[rows[on]], ids[other[on]], self.n_other),
+                      _csr(ids[np.repeat(np.arange(hi - lo), deg[lo:hi])[own]], wid[mine[own]], m))
+        self.graph, self.side, self.kept = graph, side, kept
 
     def blocks(self, m: int, width: int):
-        """As ``_Adjacency.blocks``.  The hop distances come first, for as
-        many whole blocks as fill 64 bits, then each level's path counts
-        from ``product``."""
+        """As ``_Adjacency.blocks``.  Only the products read E, so it is built
+        here, from the side's co-occurrence counts.  The hop distances come
+        first, for as many whole blocks as fill 64 bits, then each level's
+        path counts from ``product``."""
+        pairs = [np.zeros((3, 0), dtype=np.int64)]
+        for a, _, u, v, c in _co_occurrences(self.graph, self.side):
+            u = u + a
+            multi = (c >= 2) & self.kept[u] & self.kept[v]
+            pairs.append(np.stack((self.ids[u[multi]], self.ids[v[multi]], c[multi] - 1)))
+        u, v, c = np.concatenate(pairs, axis=1)
+        up = _Rows(*self.chain[1], self.n_other, width)
+        extra = _Rows(*_csr(u, v, m), m, width, weight=c.astype(float))
         group = width * max(1, 64 // width)
         for start in range(0, m, group):
-            hops = self.hop_distances(m, start, min(start + group, m))
-            for lo in range(start, min(start + group, m), width):
+            source = np.arange(min(group, m - start))  # bit j is source start + j
+            frontier = np.zeros((m, -(-len(source) // 64)), dtype=np.uint64)
+            frontier[start + source, source // 64] = np.uint64(1) << (source % 64).astype(np.uint64)
+            hops = np.full((len(source), m), -1, dtype=np.int32)
+            for level, reached in enumerate(_levels(self.chain, frontier)):
+                rows = np.flatnonzero(reached.any(axis=1))
+                words = reached[rows].astype("<u8", copy=False)
+                row, bit = np.nonzero(np.unpackbits(words.view(np.uint8), axis=1, bitorder="little"))
+                hops[bit, rows[row]] = level
+            for lo in range(start, start + len(source), width):
                 hi = min(lo + width, m)
                 mine = hops[lo - start : hi - start].ravel()
                 levels = [np.flatnonzero(mine == level) for level in range(mine.max() + 1)]
-                levels = [(keys, (self.links_up(keys), self.links_extra(keys))) for keys in levels]
+                levels = [(keys, (up(keys), extra(keys))) for keys in levels]
                 sigma, x = np.zeros((2, len(mine)))
                 sigma[levels[0][0]] = 1.0
                 for before, level in zip(levels, levels[1:]):
@@ -336,6 +299,51 @@ class _Incidence:
         y = _push(up, x[keys], self.n_other * (len(x) // self.m))
         keys, (up, extra) = into
         return _pull(up, y, len(keys)) - _pull(extra, x, len(keys))
+
+
+def _hops(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> tuple[np.ndarray, np.ndarray]:
+    """Per node of the symmetric CSR ``indptr``, ``indices``: the number of
+    other nodes it reaches and the sum of its hop distances to them.
+
+    The levels of ``_levels`` over the reduced graph of ``_fold``, read
+    ``through`` as in ``_sweep``, carry 64 kept sources per ``uint64`` word,
+    one bit each.  The graph is undirected, so a kept source s that reaches
+    a kept node t at hop l is counted at t: it stands for 1 + k_s nodes, s at
+    hop l and its k_s leaves at hop l + 1.  A word holds sources of one k, so
+    each of its bits weighs the same.  At hop 0 a kept node finds itself, so
+    it counts its own k leaves at hop 1 and itself, which its reach then
+    leaves out.  A leaf of p reaches what p reaches (R_p nodes, itself out
+    and p in) one hop further, so its distance sum is total_p + R_p - 1, and
+    a dropped node with k leaves reaches them at hop 1.  These are integer
+    counts, so no blocking changes a bit.
+    """
+    leaf, parent, k, kept, ptr, col = _fold(indptr, indices)
+    chain = through(kept, ptr, col, 1).chain
+    # the kept sources in order of k, 64 to a word and one k per word
+    source = np.argsort(k[kept], kind="stable")
+    k_source = k[kept][source]
+    place = np.arange(len(source)) - np.searchsorted(k_source, k_source)  # among sources of its k
+    word = np.cumsum(place % 64 == 0) - 1
+    weights = np.stack([1 + k_source, k_source])[:, place % 64 == 0]  # per word: nodes, leaves
+    m, words = len(source), weights.shape[1]
+    found = np.stack([k[kept], k[kept]])  # per kept node: reached, distance sum; own leaves at hop 1
+    step = max(1, graph_module._BLOCK_ELEMENTS // max(1, *(len(c) for _, c in chain)))  # words per block
+    for lo in range(0, words, step):
+        hi = min(lo + step, words)
+        mine = (word >= lo) & (word < hi)
+        frontier = np.zeros((m, hi - lo), dtype=np.uint64)
+        frontier[source[mine], word[mine] - lo] = np.uint64(1) << (place[mine] % 64).astype(np.uint64)
+        levels = _levels(chain, frontier)
+        next(levels)  # hop 0, the sources themselves: found holds their own leaves
+        for level, reached in enumerate(levels, 1):
+            bits = np.unpackbits(reached.view(np.uint8), axis=1).reshape(m, hi - lo, 64)
+            nodes, leaves = weights[:, lo:hi] @ bits.sum(axis=2, dtype=np.uint8).T
+            found += [nodes, level * nodes + leaves]  # a leaf is one hop past its source
+    reached, total = np.stack([k, k])  # a dropped node reaches its k leaves at hop 1
+    reached[kept], total[kept] = found
+    reached[leaf] = reached[parent]
+    total[leaf] = total[parent] + reached[parent] - 1
+    return reached, total
 
 
 def _sweep(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> np.ndarray:
@@ -359,10 +367,12 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> np.nd
     which floats are added.
 
     ``through(kept, ptr, col, width)`` runs the BFS of each block and its
-    products with the reduced graph, by default through its own CSR.  A
-    level touches only its own pairs and their links, not every node.  Each
-    source's dependencies are added in source order, one source at a time,
-    so no bit of the result depends on how the sources were blocked.
+    products with the reduced graph, by default through its own CSR.  Its
+    ``chain`` is the CSRs (ptr, col) whose ORs make one hop of ``_levels``:
+    the reduced graph's own, or the incidence's two.  A level touches only
+    its own pairs and their links, not every node.  Each source's
+    dependencies are added in source order, one source at a time, so no bit
+    of the result depends on how the sources were blocked.
     """
     _, _, k, kept, ptr, col = _fold(indptr, indices)
     m = len(ptr) - 1
@@ -389,10 +399,11 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> np.nd
     return halved + pairs
 
 
-def _closeness_values(csr, numerators: np.ndarray, warn_label: str) -> np.ndarray:
+def _closeness_values(csr, numerators: np.ndarray, warn_label: str, through=_Adjacency) -> np.ndarray:
     """normalizer / distance-sum per node of the CSR of ``csr`` (the graph or
-    a projection), with reachable-fraction scaling when it is disconnected."""
-    reached, total = _hops(csr._indptr, csr._indices)
+    a projection, read ``through`` as in ``_sweep``), with reachable-fraction
+    scaling when it is disconnected."""
+    reached, total = _hops(csr._indptr, csr._indices, through)
     n = len(reached)
     if (reached < n - 1).any():
         warnings.warn(
@@ -603,15 +614,16 @@ def projected_centrality(
 ) -> CentralityScores:
     """degree / closeness / betweenness on the one-mode projection."""
     proj = project(graph, side)
+    through = partial(_Incidence, graph, side)
     nodes = proj.nodes
     n = len(nodes)
     if metric == "degree":
         values = np.diff(proj._indptr) / max(n - 1, 1)
     elif metric == "closeness":
-        values = _closeness_values(proj, np.full(n, float(n - 1)), "projected closeness")
+        values = _closeness_values(proj, np.full(n, float(n - 1)), "projected closeness", through)
     elif metric == "betweenness":
         denom = (n - 1) * (n - 2) / 2.0
-        raw = _sweep(proj._indptr, proj._indices, partial(_Incidence, graph, side))
+        raw = _sweep(proj._indptr, proj._indices, through)
         values = raw / denom if denom > 0 else np.zeros(n)
     else:
         raise ValueError(f"unknown projected metric {metric!r}")

@@ -8,6 +8,7 @@ null-model, project.  All runs are deterministic for fixed inputs and seed;
 from __future__ import annotations
 
 import os
+import stat
 import sys
 
 # When numpy loads, OpenBLAS reads this variable once and starts one worker
@@ -369,6 +370,40 @@ COMMANDS: dict[str, Callable[..., Writer]] = {
 }
 
 
+def _write_output(path: str, write: Writer) -> None:
+    """Write to the file ``path`` whole or not at all.
+
+    ``write`` fills a new file in the target's directory, which replaces the
+    target only once it is complete; a failure removes the new file, so an
+    existing target keeps its bytes.  The new file takes an existing
+    target's permission bits (not its owner or links); with no target it
+    has the mode ``open`` gives, 0666 less the umask.  A symlink's target is
+    replaced, not the link.  A target that exists and is not a regular file, such as
+    ``/dev/null`` or a FIFO, cannot be replaced and is written directly.
+    """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            write(out)
+        return
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    out = open(temp, "x", encoding="utf-8", newline="\n")
+    try:
+        with out:
+            write(out)
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 def _check_metric_flags(parser, args, metrics: list[str], given: str) -> None:
     """Fill in the default of each ``METRIC_FLAGS`` flag left unset, and make
     a flag that none of ``metrics`` reads a usage error."""
@@ -395,13 +430,12 @@ def run(argv: list[str] | None = None) -> int:
         _check_metric_flags(parser, args, [args.metric_a, args.metric_b],
                             f"--metric-a {args.metric_a} --metric-b {args.metric_b}")
     try:
-        # --output is opened only once the result is computed, so a failed
-        # run leaves an existing file as it was; `distances` computes its
-        # matrix's rows while it writes them, after every input check
+        # `distances` computes its matrix's rows while it writes them, after
+        # every input check; _write_output keeps a failed run from leaving
+        # a partial file
         write = COMMANDS[args.command](args)
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as out:
-                write(out)
+            _write_output(args.output, write)
         else:
             write(sys.stdout)
     except (OSError, ValueError, KeyError, RuntimeError, MemoryError) as exc:

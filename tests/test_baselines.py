@@ -478,17 +478,11 @@ def mixed_fold_graph():
     return BipartiteGraph(edges, isolated_left=["z"], isolated_right=["y"])
 
 
-def fold_csrs(graph):
-    """The graph and its two projections, whose CSRs the sweep reads."""
-    yield graph
-    for side in (Side.LEFT, Side.RIGHT):
-        yield project(graph, side)
-
-
 def swept_csrs(graph):
-    """(CSR, how the sweep reads it) of every sweep the baselines run: the
-    graph through its own CSR, each projection through the graph's
-    incidence, and each projection through its own CSR as well."""
+    """(CSR, how the sweep and the hop count read it) of every sweep and
+    hop count the baselines run: the graph through its own CSR, each
+    projection through the graph's incidence, and each projection through
+    its own CSR as well."""
     yield graph, baselines._Adjacency
     for side in (Side.LEFT, Side.RIGHT):
         proj = project(graph, side)
@@ -513,8 +507,8 @@ def kept_nodes(G):
 class TestDegreeOneFold:
     def test_hop_counts_equal_the_unfolded_sweep(self):
         for g in fold_graphs():
-            for csr in fold_csrs(g):
-                mine = baselines._hops(csr._indptr, csr._indices)
+            for csr, through in swept_csrs(g):
+                mine = baselines._hops(csr._indptr, csr._indices, through)
                 ref = unfolded_sweep(scipy_adjacency(csr), False)
                 assert np.array_equal(mine[0], ref[0])
                 assert np.array_equal(mine[1], ref[1])
@@ -610,11 +604,11 @@ def hop_graphs(draw):
 def test_hops_equal_the_unfolded_sweep(g):
     budget = graph_module._BLOCK_ELEMENTS
     try:
-        for csr in fold_csrs(g):
+        for csr, through in swept_csrs(g):
             ref = unfolded_sweep(scipy_adjacency(csr), False)[:2]
             for size in (1, 100, budget):
                 graph_module._BLOCK_ELEMENTS = size
-                mine = baselines._hops(csr._indptr, csr._indices)
+                mine = baselines._hops(csr._indptr, csr._indices, through)
                 assert all(np.array_equal(a, b) for a, b in zip(mine, ref))
     finally:
         graph_module._BLOCK_ELEMENTS = budget
@@ -658,7 +652,8 @@ def projection_graphs(draw):
 @given(projection_graphs())
 def test_projected_betweenness_matches_networkx(g):
     # the sweep through the incidence, B_K (B_Kᵀ x) - E x, against networkx
-    # on the projection, and the same bits under every block budget
+    # on the projection, and the same bits under every block budget; the hop
+    # counts through the incidence equal those over the projection's CSR
     budget = graph_module._BLOCK_ELEMENTS
     G, _ = to_networkx(g)
     try:
@@ -667,8 +662,11 @@ def test_projected_betweenness_matches_networkx(g):
             values = []
             for size in (1, 100, 8192):
                 graph_module._BLOCK_ELEMENTS = size
-                values.append(baselines._sweep(proj._indptr, proj._indices,
-                                               partial(baselines._Incidence, g, side)))
+                through = partial(baselines._Incidence, g, side)
+                values.append(baselines._sweep(proj._indptr, proj._indices, through))
+                hops = baselines._hops(proj._indptr, proj._indices, through)
+                own = baselines._hops(proj._indptr, proj._indices)
+                assert all(np.array_equal(a, b) for a, b in zip(hops, own))
             assert all(np.array_equal(values[0], v) for v in values[1:])
             raw = nx.betweenness_centrality(nxb.projected_graph(G, side_nodes(g, side)[1]),
                                             normalized=False)

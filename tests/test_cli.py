@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from hellrank import DistanceMode, Side, distance_matrix, load_builtin, load_edge_list
+from hellrank import DistanceMode, Side, distance_matrix, hellinger, load_builtin, load_edge_list
 from hellrank.cli import PER_NODE_METRICS, run
 from hellrank.datasets import builtin_names
 
@@ -65,10 +67,36 @@ class TestScores:
         )
         assert len(out.splitlines()) == 15
 
-    def test_output_file(self, tmp_path, fig1_file):
-        dest = tmp_path / "scores.csv"
-        assert run(["scores", "--input", fig1_file, "--output", str(dest)]) == 0
-        assert dest.read_text().startswith("label,score\n")
+    def test_output_file(self, capsys, tmp_path, fig1_file):
+        # a new file, an existing one (whose permission bits stay) and one
+        # reached through a symlink (which stays a link) get stdout's bytes,
+        # and no other file is left in the directory
+        argv = ["scores", "--input", fig1_file]
+        expected = run_ok(capsys, argv)
+        assert expected.startswith("label,score\n")
+        old = tmp_path / "old.csv"
+        old.write_text("an earlier result\n")
+        old.chmod(0o640)
+        link = tmp_path / "link.csv"
+        link.symlink_to(old)
+        for dest in (tmp_path / "scores.csv", old, link):
+            assert run(argv + ["--output", str(dest)]) == 0
+            assert dest.read_text() == expected
+        assert old.stat().st_mode & 0o777 == 0o640 and link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fig1.tsv", "link.csv", "old.csv", "scores.csv"]
+
+    def test_output_to_a_fifo(self, tmp_path):
+        # a target that is not a regular file is written, not replaced
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        assert run(["scores", "--dataset", "davis", "--output", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got[0].startswith("label,score\n")
+        assert fifo.is_fifo()
 
     def test_csv_quotes_labels(self, capsys, tmp_path):
         path = tmp_path / "odd.tsv"
@@ -370,6 +398,30 @@ class TestErrorsAndDeterminism:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("hellrank: ")
         assert dest.read_bytes() == b"an earlier result\n"
+
+    def test_failed_write_leaves_output_file_as_it_was(self, capsys, tmp_path, monkeypatch):
+        # distances writes the rows of each block as the kernel computes it;
+        # a failure in the second block leaves the earlier file whole and no
+        # other file beside it
+        rng = np.random.default_rng(5)
+        links = zip(*np.nonzero(rng.random((400, 40)) < 0.15))
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("".join(f"a{i}\tp{j}\n" for i, j in links))
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"an earlier result\n")
+        block, calls = hellinger._block_distances, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise MemoryError
+            return block(*args)
+
+        monkeypatch.setattr(hellinger, "_block_distances", failing)
+        assert run(["distances", "--input", str(edges), "--output", str(dest)]) == 1
+        assert len(calls) == 2 and capsys.readouterr().err.startswith("hellrank: ")
+        assert dest.read_bytes() == b"an earlier result\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "out.csv"]
 
     def test_unknown_metric_usage_error(self, fig1_file):
         with pytest.raises(SystemExit) as err:
