@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from collections import deque
 from functools import cached_property
@@ -226,9 +227,19 @@ def _sq_diff(S: np.ndarray, a, b, coef: float) -> np.ndarray:
     return coef * _row_sums(diff * diff)
 
 
-def _gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _columns(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S's column index (ptr, rows, values): column k's nonzero rows, in
+    ascending order, are rows[ptr[k]:ptr[k + 1]], and values holds S at
+    them.  Built once per kernel call, it spares each block a search of
+    every column."""
+    cols, rows = np.nonzero(S.T)
+    return np.searchsorted(cols, np.arange(S.shape[1] + 1)), rows, S[rows, cols]
+
+
+def _gram(S: np.ndarray, lo: int, hi: int, columns=None) -> np.ndarray:
     """S[lo:hi] @ S.T, accumulated one column at a time in ascending order
-    over that column's nonzero rows.
+    over that column's nonzero rows, read from ``columns``, S's
+    ``_columns`` (built here when not given).
 
     That is the summation order of a CSR product, so every entry is the same
     double on any block height.  A BLAS product is not: it rounds
@@ -237,42 +248,48 @@ def _gram(S: np.ndarray, lo: int, hi: int) -> np.ndarray:
     products.
     """
     u = S.shape[0]
+    ptr, rows, values = _columns(S) if columns is None else columns
     g = np.zeros((hi - lo, u))
     flat = g.reshape(-1)
-    for col in S.T:
-        J = np.flatnonzero(col)
-        I = J[np.searchsorted(J, lo) : np.searchsorted(J, hi)]
-        w = col[J]
+    for k in range(len(ptr) - 1):
+        J, w = rows[ptr[k] : ptr[k + 1]], values[ptr[k] : ptr[k + 1]]
+        a, b = np.searchsorted(J, (lo, hi))
         step = max(1, graph_module._BLOCK_ELEMENTS // max(len(J), 1))
-        for a in range(0, len(I), step):
-            R = I[a : a + step]
-            flat[((R - lo) * u)[:, None] + J] += np.multiply.outer(col[R], w)
+        for r in range(a, b, step):
+            R = slice(r, min(r + step, b))
+            flat[((J[R] - lo) * u)[:, None] + J] += np.multiply.outer(w[R], w)
     return g
 
 
-def _block_distances(S: np.ndarray, masses: np.ndarray, lo: int, hi: int, coef: float) -> np.ndarray:
-    """Dense distance rows lo:hi against all rows of S.
+def _block_distances(S: np.ndarray, masses: np.ndarray, lo: int, hi: int, coef: float, columns) -> np.ndarray:
+    """Dense distance rows lo:hi against all rows of S, in the array of
+    their gram (``_gram`` with ``columns``).
 
     Row i is at distance 0 from itself; rows equal to it elsewhere in S come
     out 0 through the direct-subtraction step.
     """
-    # d2 = coef * (m_i + m_j - 2 g_ij), computed in place in the gram's array
-    d2 = _gram(S, lo, hi)
+    # d2 = coef * (m_i + m_j - 2 g_ij), computed in place in the gram's array;
+    # the mass sums are formed a run of about graph._BLOCK_ELEMENTS cells at
+    # a time, so the block holds no second block-sized array
+    d2 = _gram(S, lo, hi, columns)
     d2 *= 2.0
-    mass_sum = np.add.outer(masses[lo:hi], masses)
-    np.subtract(mass_sum, d2, out=d2)
-    d2 *= coef
-    diag = np.arange(hi - lo)
-    d2[diag, lo + diag] = 0.0
-    # the gram form cancels catastrophically when two vectors nearly coincide;
-    # recompute those few entries by direct subtraction
-    mass_sum += 1.0
-    mass_sum *= 1e-9
-    r, j = np.nonzero(d2 < mass_sum)
-    off = lo + r != j
-    r, j = r[off], j[off]
-    if len(r):
-        d2[r, j] = _sq_diff(S, lo + r, j, coef)
+    step = max(1, graph_module._BLOCK_ELEMENTS // max(len(masses), 1))
+    for a in range(0, hi - lo, step):
+        run = d2[a : a + step]
+        diag = (np.arange(len(run)), lo + a + np.arange(len(run)))  # row i's own column
+        mass_sum = np.add.outer(masses[lo + a : lo + a + len(run)], masses)
+        np.subtract(mass_sum, run, out=run)
+        run *= coef
+        # the gram form cancels catastrophically when two vectors nearly
+        # coincide; recompute those few entries by direct subtraction
+        mass_sum += 1.0
+        mass_sum *= 1e-9
+        near = run < mass_sum
+        near[diag] = False
+        if near.any():
+            r, j = np.nonzero(near)
+            run[r, j] = _sq_diff(S, lo + a + r, j, coef)
+        run[diag] = 0.0
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2, out=d2)
 
@@ -308,45 +325,77 @@ def _ahead(fn, spans, threads: int | None) -> Iterator:
             yield pending.popleft().result()
 
 
+def _node_runs(n: int) -> list[tuple[int, int]]:
+    """Runs of whole rows of an n x n matrix, about graph._FORMAT_BLOCK_CELLS
+    cells each: the block that the CSV writer formats."""
+    return _blocks(n, max(1, graph_module._FORMAT_BLOCK_CELLS // n))
+
+
 def _distance_rows(
-    U: np.ndarray, mu: np.ndarray, inverse: np.ndarray, coef: float, block: int, threads: int | None
+    U: np.ndarray,
+    mu: np.ndarray,
+    inverse: np.ndarray,
+    coef: float,
+    block: int,
+    threads: int | None,
+    columns,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(a, b, rows) for each run of ``block`` nodes, in node order: ``rows``
-    is the (b - a) x n slice a:b of the distance matrix, node i having the
-    distinct vector U[inverse[i]].  Every block is written to one buffer, so
-    a consumer copies what it keeps before it asks for the next.
+    """(a, b, rows) for each of ``_node_runs(n)``, in node order: ``rows`` is
+    the (b - a) x n slice a:b of the distance matrix, node i having the
+    distinct vector U[inverse[i]].  Every run is written to one buffer, so a
+    consumer copies what it keeps before it asks for the next.
 
     The distinct vectors' rows are computed ``block`` at a time and in order
-    by ``_block_distances``, as ``hellrank`` computes them, up to ``threads``
-    blocks ahead.  A distinct row is kept only until the last node block that
-    reads it, so working memory holds the kernel's blocks in flight, one
-    block of node rows, and the distinct rows that later nodes still share.
+    by ``_block_distances`` (with U's ``_columns``), as ``hellrank`` computes
+    them, up to ``threads`` blocks ahead.  A kernel block's rows are read in
+    place; a row that runs still read once the next block is needed is
+    copied out of it, so each block is freed before the next one is read.
+    Working memory holds the kernel blocks in flight, one run of node rows,
+    and the distinct rows that later nodes still share.
     """
     n = len(inverse)
     u = U.shape[0]  # not len(U): the tests' sparse reference kernel has none
-    last = np.zeros(u, dtype=np.int64)  # the last node block that reads each distinct row
-    np.maximum.at(last, inverse, np.arange(n) // block)
+    runs = _node_runs(n)
+    run = np.arange(n) // runs[0][1]
+    last = np.zeros(u, dtype=np.int64)  # the last run that reads each distinct row
+    np.maximum.at(last, inverse, run)
+    # the first run that reads each distinct row, which is the run that needs
+    # its kernel block, as U is in order of first sight; no run reads row u
+    first = np.full(u + 1, len(runs))
+    np.minimum.at(first, inverse, run)
 
-    computed = _ahead(
-        lambda lo, hi: list(enumerate(_block_distances(U, mu, lo, hi, coef), start=lo)),
-        _blocks(u, block),
-        threads,
-    )
+    def kernel_rows(lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
+        rows = _block_distances(U, mu, lo, hi, coef, columns)
+        # first[hi] is the run that needs the next block
+        return [(k, row.copy() if last[k] >= first[hi] else row) for k, row in enumerate(rows, start=lo)]
+
+    computed = _ahead(kernel_rows, _blocks(u, block), threads)
     kept: dict[int, np.ndarray] = {}
-    out = np.empty((min(block, n), n))
-    for j, (a, b) in enumerate(_blocks(n, block)):
+    out = np.empty((runs[0][1], n))
+    for j, (a, b) in enumerate(runs):
         mine = inverse[a:b]
-        # U is in order of first sight, so a row not kept yet is not computed yet
+        # a row not kept yet is not computed yet
         while int(mine.max()) not in kept:
-            # a row that a later node block reads is copied out of its kernel
-            # block, so that the block is freed with this node block
-            kept.update((k, row.copy() if last[k] > j else row) for k, row in next(computed))
+            kept.update(next(computed))
         rows = out[: b - a]
         for r, k in enumerate(mine.tolist()):
             np.take(kept[k], inverse, out=rows[r])
         yield a, b, rows
         for k in set(mine[last[mine] == j].tolist()):
             del kept[k]
+
+
+def _check_blocking(block, threads) -> None:
+    """ValueError unless ``block`` is an integer >= 1 and ``threads`` is
+    None or one."""
+
+    def count(value) -> bool:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+    if not count(block):
+        raise ValueError(f"block must be an integer >= 1, got {block!r}")
+    if threads is not None and not count(threads):
+        raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
 
 
 def _distinct_vectors(
@@ -369,18 +418,22 @@ def distance_matrix(
     max_side: int = DEFAULT_MATRIX_CAP,
     force: bool = False,
     threads: int | None = None,
-    block: int = 128,
+    block: int = 64,
 ) -> "DistanceMatrix":
     """Symmetric pairwise distance matrix for one side.
 
-    The matrix holds the side's distinct vectors, and computes its rows
-    ``block`` nodes at a time when they are read: ``to_csv`` and
-    ``threshold_graph`` never hold all of it.  Working memory grows with
-    block x u per thread (u distinct vectors) and block x n for a block of
-    node rows, plus the distinct rows that later nodes still read.  Its
-    ``values`` array is quadratic; sides larger than ``max_side`` are
-    refused unless ``force`` is set.
+    The matrix holds the side's u distinct vectors and their column index,
+    and computes its rows when they are read: ``to_csv`` and
+    ``threshold_graph`` never hold all of it.  The kernel computes ``block``
+    distinct vectors' rows at a time, each in one block x u array, on up to
+    ``threads`` threads; the node rows are read out of them a run of about
+    graph._FORMAT_BLOCK_CELLS cells at a time, the CSV writer's block.  So
+    working memory grows with block x u per thread, plus one run and the
+    distinct rows that later nodes still read.  Its ``values`` array is
+    quadratic; sides larger than ``max_side`` are refused unless ``force``
+    is set.  ``block`` and ``threads`` change no output bit.
     """
+    _check_blocking(block, threads)
     labels = list(graph.nodes(side))
     n = len(labels)
     if n == 0:
@@ -391,7 +444,7 @@ def distance_matrix(
         )
     U, mu, inverse, _, coef = _distinct_vectors(graph, labels, side, mode, weighted)
     matrix = DistanceMatrix(side=side, labels=labels, values=None, mode=mode)
-    matrix._kernel = (U, mu, inverse, coef, block, threads)
+    matrix._kernel = (U, mu, inverse, coef, block, threads, _columns(U))
     return matrix
 
 
@@ -401,25 +454,29 @@ def hellrank(
     mode: DistanceMode = DistanceMode.NORMALIZED,
     weighted: bool = False,
     threads: int | None = None,
-    block: int = 128,
+    block: int = 64,
 ) -> CentralityScores:
     """Per-node score n / (sum of distances to every node of the side).
 
     Row sums are streamed block by block over the distinct neighbor-degree
     vectors, each weighted by how many nodes share it, so the quadratic matrix
-    is never materialized: each thread scores ``block`` distinct vectors at a
-    time, so working memory grows with block x u per thread (u distinct
-    vectors).  If every pairwise distance is zero (structurally identical
-    nodes) all scores are 1.0 and a DegenerateDistancesWarning is emitted.
+    is never materialized: each of up to ``threads`` threads scores ``block``
+    distinct vectors at a time in one block x u array (u distinct vectors),
+    from a column index of the vectors built once per call.  ``block`` and
+    ``threads`` change no output bit.  If every pairwise distance is zero
+    (structurally identical nodes) all scores are 1.0 and a
+    DegenerateDistancesWarning is emitted.
     """
+    _check_blocking(block, threads)
     labels = list(graph.nodes(side))
     n = len(labels)
     if n < 2:
         raise ValueError(f"side {side.value} needs >= 2 nodes, has {n}")
     U, mu, inverse, counts, coef = _distinct_vectors(graph, labels, side, mode, weighted)
+    columns = _columns(U)
 
     def row_sums(lo: int, hi: int) -> np.ndarray:
-        d = _block_distances(U, mu, lo, hi, coef)
+        d = _block_distances(U, mu, lo, hi, coef, columns)
         d *= counts
         return d.sum(axis=1)
 
@@ -463,7 +520,7 @@ class DistanceMatrix:
         """(a, b, rows a:b of the matrix) in row order."""
         if self._values is None:
             return _distance_rows(*self._kernel)
-        return ((a, b, self._values[a:b]) for a, b in _blocks(len(self.labels), 128))
+        return ((a, b, self._values[a:b]) for a, b in _node_runs(len(self.labels)))
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -371,7 +371,8 @@ def sparse_sq_diff(S, a, b, coef):
     return coef * np.asarray(diff.multiply(diff).sum(axis=1)).ravel()
 
 
-def sparse_block_distances(S, masses, lo, hi, coef):
+def sparse_block_distances(S, masses, lo, hi, coef, columns=None):
+    # columns is the dense kernel's column index, which this kernel has none of
     gram = (S[lo:hi] @ S.T).toarray()
     d2 = coef * (masses[lo:hi, None] + masses[None, :] - 2.0 * gram)
     diag = np.arange(hi - lo)
@@ -395,6 +396,7 @@ def sparse_kernel(monkeypatch) -> None:
         "_unique_rows": sparse_unique_rows,
         "_sq_diff": sparse_sq_diff,
         "_block_distances": sparse_block_distances,
+        "_columns": lambda S: None,
     }
     for name, fn in swaps.items():
         monkeypatch.setattr(hellinger, name, fn)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import inspect
 import io
 import math
 import os
@@ -27,7 +28,7 @@ from hellrank import (
 )
 from hellrank import graph as graph_module
 from hellrank import hellinger
-from hellrank.graph import UnipartiteGraph
+from hellrank.graph import UnipartiteGraph, _fixed6_rows
 from hellrank.hellinger import DegenerateDistancesWarning
 
 from oracles import (
@@ -350,6 +351,18 @@ class TestHellRank:
         with pytest.raises(ValueError, match=">= 2"):
             hellrank(BipartiteGraph([("a", "1")]), Side.LEFT)
 
+    @pytest.mark.parametrize("name, value", [
+        ("block", 0), ("block", -1), ("block", 2.0), ("block", True), ("block", None),
+        ("threads", 0), ("threads", -3), ("threads", 1.5), ("threads", True),
+    ])
+    def test_block_and_threads_are_checked(self, fig1, name, value):
+        for call in (hellrank, distance_matrix):
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                call(fig1, Side.LEFT, **{name: value})
+        # numpy integers are integers
+        got = hellrank(fig1, Side.LEFT, block=np.int64(3), threads=np.int32(2))
+        assert got.scores == hellrank(fig1, Side.LEFT).scores
+
     def test_degenerate_uniform(self):
         g = BipartiteGraph([("a", "1"), ("b", "2")])
         with pytest.warns(DegenerateDistancesWarning):
@@ -393,6 +406,27 @@ class TestHellRank:
         tg, peak = traced_peak(lambda: threshold_graph(distance_matrix(g, Side.LEFT), 0.5))
         assert peak < 8e6
         assert tg.num_edges > 10_000  # the edges are built too
+
+    def test_streamed_distances_hold_one_kernel_block(self):
+        # nearly all 1500 vectors are distinct.  Writing the matrix holds the
+        # kernel's block x u array, the rows copied out of it for later runs
+        # (at most one more block's worth) and one run of formatted cells
+        g = random_bipartite(np.random.default_rng(3), 1500, 1000, 0.008)
+        m = distance_matrix(g, Side.LEFT)
+        block = inspect.signature(distance_matrix).parameters["block"].default
+        U, mu, _, coef = m._kernel[:4]
+        u, n = U.shape[0], len(m.labels)
+        one_block = block * u * 8
+        run = np.random.default_rng(1).random((graph_module._FORMAT_BLOCK_CELLS // n, n))
+        _, formatting = traced_peak(lambda: list(_fixed6_rows(run)))
+        with open(os.devnull, "w") as null:
+            _, peak = traced_peak(lambda: m.to_csv(null))
+        assert peak < 2 * one_block + formatting
+        # the kernel alone: its gram's array and runs of about
+        # graph._BLOCK_ELEMENTS cells, here up to eight arrays of them
+        columns = hellinger._columns(U)
+        _, peak = traced_peak(lambda: hellinger._block_distances(U, mu, 0, block, coef, columns))
+        assert peak < one_block + 8 * graph_module._BLOCK_ELEMENTS * 8
 
     def test_working_memory_grows_with_the_block_not_the_side(self):
         # nearly all 1500 vectors are distinct, so u is about the side's size
@@ -455,17 +489,21 @@ class TestAdversarialKernel:
         assert m["z1", "a"] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_near_duplicate_pair(self, mode):
+    @pytest.mark.parametrize("budget", [1, graph_module._BLOCK_ELEMENTS])
+    def test_near_duplicate_pair(self, mode, budget, monkeypatch):
         # vectors {1: 3000, 2: 1} and {1: 3001, 2: 1}: in normalized mode the
         # gram form of their squared distance (~5e-12) falls under the
-        # cancellation threshold, so it is recomputed by subtraction
+        # cancellation threshold, so it is recomputed by subtraction; budget 1
+        # forms the mass sums one row at a time, so b's row is not a block's first
+        monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", budget)
         edges = [("a", "s"), ("b", "s"), ("c", "t")]
         edges += [("a", f"a{t}") for t in range(3000)]
         edges += [("b", f"b{t}") for t in range(3001)]
         g = BipartiteGraph(edges)
         normalized = mode is DistanceMode.NORMALIZED
-        d = distance_matrix(g, Side.LEFT, mode)["a", "b"]
-        assert d > 0.0
+        m = distance_matrix(g, Side.LEFT, mode)
+        d = m["a", "b"]
+        assert d > 0.0 and m["b", "a"] == d
         assert d == pytest.approx(brute_distance(g, "a", "b", Side.LEFT, normalized), rel=1e-9)
         assert_matches_oracle(g, mode)
 
@@ -717,5 +755,36 @@ def test_gram_blocks_match_one_scatter_per_column(budget, monkeypatch):
     rng = np.random.default_rng(11)
     for u, c, p in ((1, 1, 1.0), (40, 3, 0.5), (300, 12, 0.2)):
         S = np.sqrt(rng.random((u, c)) * (rng.random((u, c)) < p))
+        columns = hellinger._columns(S)
         for lo, hi in [(0, u), *hellinger._blocks(u, 16)]:
-            assert np.array_equal(hellinger._gram(S, lo, hi), column_gram(S, lo, hi))
+            want = column_gram(S, lo, hi)
+            assert np.array_equal(hellinger._gram(S, lo, hi), want)
+            assert np.array_equal(hellinger._gram(S, lo, hi, columns), want)
+
+
+def test_bits_do_not_depend_on_block_height_or_threads(monkeypatch):
+    # duplicate classes and random links; 40-row runs of the matrix, or one
+    # row per run, so that the node runs cut across the kernel's blocks
+    rng = np.random.default_rng(17)
+    edges = class_edges(12, 4) + random_edges(rng, 70, 40, 0.08)
+    weights = list(rng.exponential(1.0, len(edges)) + 1e-3)
+    g = BipartiteGraph(edges, weights, isolated_left=["z"])
+    n = len(g.left_nodes)
+    for mode in MODES:
+        for weighted in (False, True):
+            u = distance_matrix(g, Side.LEFT, mode, weighted=weighted)._kernel[0].shape[0]
+            results = []
+            for block in (1, 3, 64, 128, u):
+                for threads in (1, 4):
+                    scores = hellrank(g, Side.LEFT, mode, weighted=weighted, threads=threads, block=block)
+                    for cells in (40 * n, 1):
+                        monkeypatch.setattr(graph_module, "_FORMAT_BLOCK_CELLS", cells)
+                        m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, threads=threads, block=block)
+                        results.append((np.array(list(scores.scores.values())), csv_text(m),
+                                        [threshold_graph(m, t) for t in (0.3, 0.6)]))
+            first = results[0]
+            assert first[2][1].num_edges > first[2][0].num_edges > 0
+            for scores, text, cuts in results[1:]:
+                assert np.array_equal(scores, first[0])
+                assert text == first[1]
+                assert cuts == first[2]
