@@ -65,13 +65,21 @@ class _Rows:
     nodes, each of weight 1 or ``weight``, read for (column, node) pairs of
     a block of up to ``width`` columns.  A row's pair has the key
     column * rows + row and a target's column * n_target + target, so a
-    block's arrays are (column, node) arrays, flattened."""
+    block's arrays are (column, node) arrays, flattened.
+
+    The CSR is held once for all columns, as int32: a link's target key is
+    its CSR entry plus its column's offset, added as its pair is expanded.
+    A sweep keeps the owners and target keys of every level of a block, so
+    they are int32 as well.  A block's keys are below width * rows and its
+    target keys below width * n_target; the constructor checks that both
+    fit."""
 
     def __init__(self, ptr: np.ndarray, col: np.ndarray, n_target: int, width: int = 1,
                  weight: np.ndarray | None = None):
-        self.ptr, self.degree = ptr, np.diff(ptr)
-        self.target = (col[: ptr[-1]] + n_target * np.arange(width)[:, None]).ravel()
-        self.weight = None if weight is None else np.tile(weight, width)
+        assert width * max(len(ptr) - 1, n_target) <= np.iinfo(np.int32).max
+        self.ptr, self.degree, self.weight = ptr, np.diff(ptr), weight
+        self.col = col[: ptr[-1]].astype(np.int32)
+        self.offset = (np.arange(width) * n_target).astype(np.int32)  # per column
 
     def __call__(self, keys: np.ndarray) -> tuple:
         """(owner, target, weight) per link of the pairs ``keys``, pair
@@ -80,9 +88,11 @@ class _Rows:
         column, node = np.divmod(keys, len(self.degree))
         degree = self.degree[node]
         owner = np.repeat(np.arange(len(keys)), degree)
-        at = (self.ptr[node] + column * self.ptr[-1] - np.cumsum(degree) + degree).take(owner)
+        at = (self.ptr[node] - np.cumsum(degree) + degree).take(owner)
         at += np.arange(len(at))
-        return owner, self.target.take(at), None if self.weight is None else self.weight.take(at)
+        target = self.col.take(at)
+        target += self.offset.take(column).take(owner)
+        return owner.astype(np.int32), target, None if self.weight is None else self.weight.take(at)
 
 
 def _pull(links: tuple, x: np.ndarray, n: int) -> np.ndarray:
@@ -111,7 +121,8 @@ def _push(links: tuple, values: np.ndarray, n: int) -> np.ndarray:
 def _product(graph: BipartiteGraph):
     """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy."""
     n = len(graph._degree)
-    every = _Rows(graph._indptr, graph._indices, n)(np.arange(n))
+    # a writeable copy: take() copies a read-only index array on every call
+    every = (np.repeat(np.arange(n), graph._degree), graph._indices.copy(), None)
     return lambda x: _pull(every, x, n)
 
 
@@ -256,19 +267,23 @@ class _Incidence:
                       _csr(ids[np.repeat(np.arange(hi - lo), deg[lo:hi])[own]], wid[mine[own]], m))
         self.graph, self.side, self.kept = graph, side, kept
 
-    def blocks(self, m: int, width: int):
-        """As ``_Adjacency.blocks``.  Only the products read E, so it is built
-        here, from the side's co-occurrence counts.  The hop distances come
-        first, for as many whole blocks as fill 64 bits, then each level's
-        path counts from ``product``."""
+    def _extra(self, m: int, width: int) -> _Rows:
+        """The rows of E, from the side's co-occurrence counts."""
         pairs = [np.zeros((3, 0), dtype=np.int64)]
         for a, _, u, v, c in _co_occurrences(self.graph, self.side):
             u = u + a
             multi = (c >= 2) & self.kept[u] & self.kept[v]
             pairs.append(np.stack((self.ids[u[multi]], self.ids[v[multi]], c[multi] - 1)))
         u, v, c = np.concatenate(pairs, axis=1)
-        up = _Rows(*self.chain[1], self.n_other, width)
-        extra = _Rows(*_csr(u, v, m), m, width, weight=c.astype(float))
+        # c - 1 < n_other, which the rows of B_K already fit in int32
+        return _Rows(*_csr(u, v, m), m, width, weight=c.astype(np.int32))
+
+    def blocks(self, m: int, width: int):
+        """As ``_Adjacency.blocks``.  Only the products read E, so it is built
+        here, and only its rows are held.  The hop distances come first, for
+        as many whole blocks as fill 64 bits, then each level's path counts
+        from ``product``."""
+        up, extra = _Rows(*self.chain[1], self.n_other, width), self._extra(m, width)
         group = width * max(1, 64 // width)
         for start in range(0, m, group):
             source = np.arange(min(group, m - start))  # bit j is source start + j
@@ -287,10 +302,11 @@ class _Incidence:
                 levels = [(keys, (up(keys), extra(keys))) for keys in levels]
                 sigma, x = np.zeros((2, len(mine)))
                 sigma[levels[0][0]] = 1.0
-                for before, level in zip(levels, levels[1:]):
-                    x[before[0]] = sigma[before[0]]
-                    sigma[level[0]] = self.product(level, before, x)
-                    x[before[0]] = 0.0
+                for l in range(1, len(levels)):  # no name holds a level past its block
+                    keys = levels[l - 1][0]
+                    x[keys] = sigma[keys]
+                    sigma[levels[l][0]] = self.product(levels[l], levels[l - 1], x)
+                    x[keys] = 0.0
                 yield lo, hi, levels, sigma
 
     def product(self, into: tuple, level: tuple, x: np.ndarray) -> np.ndarray:
@@ -373,25 +389,33 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> np.nd
     its own pairs and their links, not every node.  Each source's
     dependencies are added in source order, one source at a time, so no bit
     of the result depends on how the sources were blocked.
+
+    One block is held at a time: its levels, each a keys array and int32
+    links from ``_Rows``, and a few arrays of one value per pair (path
+    counts, dependencies and their shares, the targets' weights).  They are
+    dropped before ``blocks`` builds the next block.
     """
     _, _, k, kept, ptr, col = _fold(indptr, indices)
     m = len(ptr) - 1
     width = max(1, min(m, graph_module._BLOCK_ELEMENTS // max(m, 1)))  # the budget _co_occurrences reads
     step = through(kept, ptr, col, width)
-    weight = 1.0 + k[kept]
+    del col  # step holds what the sweep reads of it
+    times = 1 + k[kept]  # the nodes a kept node stands for
+    weight = np.tile(times.astype(float), width)  # per (source, node) pair of a block
     bc = np.zeros(m)
     reached = np.zeros(m, dtype=np.int64)
     for lo, hi, levels, sigma in step.blocks(m, width):
-        reached[lo:hi] = (sigma.reshape(hi - lo, m) > 0) @ (1 + k[kept]) - 1
-        delta, share = np.zeros((2, len(sigma)))
+        reached[lo:hi] = (sigma.reshape(hi - lo, m) > 0) @ times - 1
+        delta, share = np.zeros(len(sigma)), np.zeros(len(sigma))
         for l in range(len(levels) - 1, 1, -1):
             keys, into = levels[l][0], levels[l - 1][0]
-            share[keys] = (weight[keys % m] + delta[keys]) / sigma[keys]
+            share[keys] = (weight[keys] + delta[keys]) / sigma[keys]
             delta[into] = sigma[into] * step.product(levels[l - 1], levels[l], share)  # its only term
             share[keys] = 0.0
-        for row, times in zip(delta.reshape(hi - lo, m), 1 + k[kept][lo:hi]):
-            for _ in range(times):
+        for row, count in zip(delta.reshape(hi - lo, m), times[lo:hi]):
+            for _ in range(count):
                 bc += row
+        del levels, sigma, delta, share, row  # blocks() builds the next block without this one
     halved = np.zeros(len(k))
     halved[kept] = bc / 2.0
     pairs = k * (k - 1) // 2

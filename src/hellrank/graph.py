@@ -273,8 +273,9 @@ def _side_range(graph: BipartiteGraph, side: Side) -> tuple[int, int]:
 # _co_occurrences, and in the Hellinger kernel the products of one scatter of
 # a gram column and the entries of one run of rows that the distinct-vector
 # search compares with their sorted neighbours.
-# Kept small: on a 1,300-node graph, 8x the budget raised the peak RSS of
-# `scores --metric all` by about 4.5 MB (7%) and ran no faster.
+# Kept small: on a 1,329-node graph, 8x the budget raised the peak RSS of
+# `scores --metric all` from 33.4 to 45.0 MB, 10.7 MB of it in the betweenness
+# sweeps, whose blocks of levels it widens, and ran no faster.
 _BLOCK_ELEMENTS = 8192
 
 

@@ -35,6 +35,7 @@ from hellrank.baselines import DisconnectedGraphWarning, betweenness_ceiling
 from hellrank.cli import run
 
 from oracles import brute_latapy_cc, enumerate_4paths, random_bipartite, scipy_bfs, unfolded_sweep
+from test_hellinger import traced_peak
 from test_imports import SRC, fresh_run
 
 
@@ -577,6 +578,106 @@ def test_bipartite_levels_and_products_equal_scipy():
     assert mixed >= 5
 
 
+def expanded_pair_by_pair(ptr, col, n_target, weight, keys):
+    """(owner, target, weight) of the pairs ``keys`` of a block, each pair's
+    CSR row read in turn and shifted to its own column's target keys."""
+    rows = len(ptr) - 1
+    links = []
+    for i, key in enumerate(keys.tolist()):
+        column, node = divmod(key, rows)
+        for j in range(ptr[node], ptr[node + 1]):
+            links.append((i, column * n_target + col[j], 1 if weight is None else weight[j]))
+    return np.array(links, dtype=np.int64).reshape(-1, 3).T
+
+
+def test_rows_expand_each_pair_into_its_columns_targets(monkeypatch):
+    # every CSR a sweep expands: the reduced graph's own, and through the
+    # incidence B_K, whose targets are the other side's, and the weighted E
+    csrs = []
+    rows = baselines._Rows
+
+    def recorded(ptr, col, n_target, width=1, weight=None):
+        csrs.append((ptr, col, n_target, weight))
+        return rows(ptr, col, n_target, width, weight)
+
+    monkeypatch.setattr(baselines, "_Rows", recorded)
+    g = BipartiteGraph(giant_and_small_components(3))
+    for csr, through in swept_csrs(g):
+        baselines._sweep(csr._indptr, csr._indices, through)
+    monkeypatch.undo()
+    assert any(n_target != len(ptr) - 1 for ptr, _, n_target, _ in csrs)
+    assert any(weight is not None and len(weight) for *_, weight in csrs)
+    rng = np.random.default_rng(4)
+    for ptr, col, n_target, weight in csrs:
+        m = len(ptr) - 1
+        for width in sorted({1, 2, 5, m}):
+            keys = np.sort(rng.choice(width * m, size=min(width * m, 400), replace=False))
+            assert width == 1 or len(np.unique(keys // m)) > 1
+            owner, target, w = rows(ptr, col, n_target, width, weight)(keys)
+            want = expanded_pair_by_pair(ptr, col, n_target, weight, keys)
+            assert np.array_equal(owner, want[0]) and np.array_equal(target, want[1])
+            assert w is None if weight is None else np.array_equal(w, want[2])
+
+
+def cluster_chain() -> BipartiteGraph:
+    """40 seeded random clusters of 8 authors and 8 papers, each author on
+    its own paper and on each other one with probability 1/2, each cluster
+    linked to the one before by one link.  The chain is long, so a block's
+    BFS runs up to 110 levels deep and keeps many levels of links."""
+    rng = np.random.default_rng(1)
+    edges = []
+    for c in range(40):
+        adj = rng.random((8, 8)) < 0.5
+        adj[np.arange(8), np.arange(8)] = True
+        edges += [(f"a{c}.{i}", f"p{c}.{j}") for i, j in zip(*np.nonzero(adj))]
+        if c:
+            edges.append((f"a{c}.0", f"p{c - 1}.{rng.integers(8)}"))
+    return BipartiteGraph(edges)
+
+
+def block_sizes(csr, through) -> tuple[int, int, int]:
+    """(width, held, widest) of the sweep of ``csr``: its block width; the
+    most bytes that the levels of one block hold, at 8 a key, 4 an owner,
+    4 a target and 4 a weight; and the most links of one level."""
+    _, _, _, kept, ptr, col = baselines._fold(csr._indptr, csr._indices)
+    m = len(ptr) - 1
+    width = max(1, min(m, graph_module._BLOCK_ELEMENTS // m))
+    held = widest = 0
+    for _, _, levels, _ in through(kept, ptr, col, width).blocks(m, width):
+        block = 0
+        for keys, links in levels:
+            parts = links if isinstance(links[0], tuple) else (links,)  # B_K and E, or one CSR
+            size = sum(len(owner) for owner, _, _ in parts)
+            block += 8 * len(keys) + 8 * size + sum(4 * len(w) for *_, w in parts if w is not None)
+            widest = max(widest, size)
+        held = max(held, block)
+    return width, held, widest
+
+
+@pytest.mark.parametrize("sweep", ["bipartite", "left", "right"])
+def test_sweep_holds_one_block_of_int32_links(sweep, monkeypatch):
+    # the traced peak of a betweenness call, over that of the same call
+    # with one source a block (the graph's, the fold's and the incidence's
+    # arrays), is at most one block's levels, the expansion of one level
+    # and its product (up to four 8-byte arrays a link), and six arrays of
+    # one float a pair of a block
+    g = cluster_chain()
+    if sweep == "bipartite":
+        csr, through = g, baselines._Adjacency
+        call = partial(bipartite_betweenness, g, Side.LEFT)
+    else:
+        side = Side[sweep.upper()]
+        csr, through = project(g, side), partial(baselines._Incidence, g, side)
+        call = partial(projected_centrality, g, side, "betweenness")
+    width, held, widest = block_sizes(csr, through)
+    assert width > 1 and held > 8 * 8 * widest  # a block holds many levels
+    budget = graph_module._BLOCK_ELEMENTS
+    _, peak = traced_peak(call)
+    monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", 1)
+    _, fixed = traced_peak(call)
+    assert peak - fixed < held + 4 * 8 * widest + 6 * 8 * budget
+
+
 @st.composite
 def hop_graphs(draw):
     """A bipartite graph of a random core, stars, K2 components, isolated
@@ -780,7 +881,7 @@ class TestSweepMemo:
     def test_block_budget_does_not_change_bits(self, side, monkeypatch):
         edges = giant_and_small_components(6)
         results = []
-        for budget in (1, 100, graph_module._BLOCK_ELEMENTS):
+        for budget in (1, 100, graph_module._BLOCK_ELEMENTS, 65536):
             monkeypatch.setattr(graph_module, "_BLOCK_ELEMENTS", budget)
             order = ("closeness2", "betweenness2", "closeness1", "betweenness1")
             results.append(sweep_values(BipartiteGraph(edges), side, order))
