@@ -35,7 +35,7 @@ _PUBLIC = {
         "threshold_graph",
         "weighted_node_distance",
     ),
-    "scores": ("CentralityScores", "normalize_scores"),
+    "scores": ("CentralityScores", "ScoreArray", "normalize_scores"),
     "baselines": (
         "PageRankConfig",
         "bipartite_betweenness",

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import graph as graph_module
 from .graph import BipartiteGraph, Side, _co_occurrences, _side_range, project
-from .scores import CentralityScores
+from .scores import CentralityScores, ScoreArray
 
 __all__ = [
     "PageRankConfig",
@@ -119,17 +119,18 @@ def _push(links: tuple, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _product(graph: BipartiteGraph):
-    """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy."""
-    n = len(graph._degree)
-    # a writeable copy: take() copies a read-only index array on every call
-    every = (np.repeat(np.arange(n), graph._degree), graph._indices.copy(), None)
-    return lambda x: _pull(every, x, n)
+    """``x -> A @ x`` for the 0/1 adjacency A of the graph's CSR, without scipy,
+    summed as ``_pull`` sums."""
+    n, indices = len(graph._degree), graph._indices
+    owner = np.repeat(np.arange(n), graph._degree)
+    # x[indices], not x.take(indices): take() copies a read-only index array on every call
+    return lambda x: np.bincount(owner, weights=x[indices], minlength=n)
 
 
-def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side) -> dict[str, float]:
-    """{label: value} for one side's nodes, ``values`` in the CSR's row order."""
+def _on_side(graph: BipartiteGraph, values: np.ndarray, side: Side, metric: str) -> CentralityScores:
+    """The side's scores under ``metric``, ``values`` in the CSR's row order."""
     lo, hi = _side_range(graph, side)
-    return dict(zip(graph.nodes(side), values[lo:hi].tolist()))
+    return CentralityScores(side, metric, ScoreArray(graph.nodes(side), values[lo:hi]))
 
 
 def _fold(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -196,12 +197,17 @@ class _Adjacency:
     ``blocks`` pushes each level's path counts along its links, which is
     exact for integers.  ``product`` sums each pair of a level over its own
     row in CSR order, as scipy's CSR product does, so every float is the
-    same.
+    same.  It holds the int32 CSR of ``_Rows``, not the caller's ``col``;
+    ``chain`` widens it again for ``_hops``, since ``take`` converts int32
+    indices to intp on every call.
     """
 
     def __init__(self, kept: np.ndarray, ptr: np.ndarray, col: np.ndarray, width: int):
-        self.chain = ((ptr, col),)
         self.links = _Rows(ptr, col, len(ptr) - 1, width)
+
+    @property
+    def chain(self) -> tuple:
+        return ((self.links.ptr, self.links.col.astype(np.intp)),)
 
     def blocks(self, m: int, width: int):
         """Per block lo..hi-1 of ``width`` sources among the m kept nodes,
@@ -291,10 +297,9 @@ class _Incidence:
             frontier[start + source, source // 64] = np.uint64(1) << (source % 64).astype(np.uint64)
             hops = np.full((len(source), m), -1, dtype=np.int32)
             for level, reached in enumerate(_levels(self.chain, frontier)):
-                rows = np.flatnonzero(reached.any(axis=1))
-                words = reached[rows].astype("<u8", copy=False)
-                row, bit = np.nonzero(np.unpackbits(words.view(np.uint8), axis=1, bitorder="little"))
-                hops[bit, rows[row]] = level
+                bits = np.unpackbits(reached.astype("<u8", copy=False).view(np.uint8), axis=1,
+                                     count=len(source), bitorder="little")  # (node, source)
+                np.copyto(hops, level, where=bits.view(bool).T)
             for lo in range(start, start + len(source), width):
                 hi = min(lo + width, m)
                 mine = hops[lo - start : hi - start].ravel()
@@ -335,6 +340,7 @@ def _hops(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> tuple[
     """
     leaf, parent, k, kept, ptr, col = _fold(indptr, indices)
     chain = through(kept, ptr, col, 1).chain
+    del col  # chain holds what the hop count reads of it
     # the kept sources in order of k, 64 to a word and one k per word
     source = np.argsort(k[kept], kind="stable")
     k_source = k[kept][source]
@@ -399,7 +405,7 @@ def _sweep(indptr: np.ndarray, indices: np.ndarray, through=_Adjacency) -> np.nd
     m = len(ptr) - 1
     width = max(1, min(m, graph_module._BLOCK_ELEMENTS // max(m, 1)))  # the budget _co_occurrences reads
     step = through(kept, ptr, col, width)
-    del col  # step holds what the sweep reads of it
+    del col  # step holds what the sweep reads of it, as int32
     times = 1 + k[kept]  # the nodes a kept node stands for
     weight = np.tile(times.astype(float), width)  # per (source, node) pair of a block
     bc = np.zeros(m)
@@ -449,8 +455,7 @@ def bipartite_degree(graph: BipartiteGraph, side: Side) -> CentralityScores:
     other = graph.n2 if side is Side.LEFT else graph.n1
     if other == 0:
         raise ValueError("opposite side is empty")
-    scores = _on_side(graph, graph._degree / other, side)
-    return CentralityScores(side=side, metric="degree2", scores=scores)
+    return _on_side(graph, graph._degree / other, side, "degree2")
 
 
 def bipartite_closeness(graph: BipartiteGraph, side: Side) -> CentralityScores:
@@ -458,7 +463,7 @@ def bipartite_closeness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     n1, n2 = graph.n1, graph.n2
     numerators = np.repeat([float(n2 + 2 * (n1 - 1)), float(n1 + 2 * (n2 - 1))], [n1, n2])
     values = _closeness_values(graph, numerators, "bipartite_closeness")
-    return CentralityScores(side=side, metric="closeness2", scores=_on_side(graph, values, side))
+    return _on_side(graph, values, side, "closeness2")
 
 
 def betweenness_ceiling(n_own: int, n_other: int) -> float:
@@ -473,16 +478,14 @@ def betweenness_ceiling(n_own: int, n_other: int) -> float:
 
 def bipartite_betweenness(graph: BipartiteGraph, side: Side) -> CentralityScores:
     """Shortest-path betweenness divided by the side-specific ceiling."""
-    raw = _sweep(graph._indptr, graph._indices)
+    lo, hi = _side_range(graph, side)
+    raw = _sweep(graph._indptr, graph._indices)[lo:hi]
     n1, n2 = graph.n1, graph.n2
     bmax = betweenness_ceiling(n1, n2) if side is Side.LEFT else betweenness_ceiling(n2, n1)
-    scores = {}
-    for x, b in _on_side(graph, raw, side).items():
-        v = b / bmax if bmax > 0 else 0.0
-        if v > 1.0 + 1e-9 / max(bmax, 1.0):
-            warnings.warn(f"betweenness of {x!r} exceeds its ceiling; clamping")
-        scores[x] = min(v, 1.0)
-    return CentralityScores(side=side, metric="betweenness2", scores=scores)
+    values = raw / bmax if bmax > 0 else np.zeros(len(raw))
+    for i in np.flatnonzero(values > 1.0 + 1e-9 / max(bmax, 1.0)).tolist():
+        warnings.warn(f"betweenness of {graph.nodes(side)[i]!r} exceeds its ceiling; clamping")
+    return CentralityScores(side, "betweenness2", ScoreArray(graph.nodes(side), np.minimum(values, 1.0)))
 
 
 def eigenvector_centrality(
@@ -514,11 +517,10 @@ def eigenvector_centrality(
             break
     else:
         raise ConvergenceError("eigenvector power iteration did not converge", residual)
-    sub = _on_side(graph, np.abs(v), side)
-    top = max(sub.values(), default=0.0) or 1.0
-    return CentralityScores(
-        side=side, metric="eigenvector", scores={x: val / top for x, val in sub.items()}
-    )
+    lo, hi = _side_range(graph, side)
+    sub = np.abs(v[lo:hi])
+    top = sub.max(initial=0.0) or 1.0
+    return CentralityScores(side, "eigenvector", ScoreArray(graph.nodes(side), sub / top))
 
 
 def pagerank(
@@ -553,7 +555,7 @@ def pagerank(
         raise ConvergenceError("pagerank did not converge", err)
 
     def side_scores(s: Side) -> CentralityScores:
-        return CentralityScores(side=s, metric="pagerank", scores=_on_side(graph, r, s))
+        return _on_side(graph, r, s, "pagerank")
 
     if side is not None:
         return side_scores(side)
@@ -585,9 +587,7 @@ def latapy_cc(graph: BipartiteGraph, side: Side) -> CentralityScores:
         total[a:b] = np.bincount(u, weights=jaccard, minlength=b - a)
         count[a:b] = np.bincount(u, minlength=b - a)
     mean = np.divide(total, count, out=np.zeros(size), where=count > 0)
-    return CentralityScores(
-        side=side, metric="latapy", scores=dict(zip(graph.nodes(side), mean.tolist()))
-    )
+    return CentralityScores(side, "latapy", ScoreArray(graph.nodes(side), mean))
 
 
 def opsahl_path_counts(graph: BipartiteGraph) -> tuple[int, int]:
@@ -651,6 +651,4 @@ def projected_centrality(
         values = raw / denom if denom > 0 else np.zeros(n)
     else:
         raise ValueError(f"unknown projected metric {metric!r}")
-    return CentralityScores(
-        side=side, metric=f"{metric}1", scores=dict(zip(nodes, values.tolist()))
-    )
+    return CentralityScores(side, f"{metric}1", ScoreArray(nodes, values))

@@ -37,6 +37,10 @@ from .hellinger import DistanceMode, distance_matrix, hellrank, threshold_graph
 from .nullmodel import NullModelParams, expected_distance_moments, monte_carlo_distance, similarity_threshold
 from .scores import CentralityScores, normalize_scores
 
+# after the package: with no bytecode cache, compiling graph.py before numpy
+# loads keeps the import's traced peak 0.27 MB lower
+import numpy as np  # noqa: E402
+
 PER_NODE_METRICS = [
     "hellrank",
     "degree2",
@@ -257,14 +261,20 @@ def _scores(args) -> Writer:
     if args.metric != "all":
         table = tables[args.metric]
         return table.to_csv if args.format == "csv" else table.to_json
-    labels = sorted(graph.nodes(Side(args.side)))
-    if args.format == "json":
-        return _json({x: {name: tables[name][x] for name in names} for x in labels})
+    first = tables[names[0]].scores  # every table holds the side's labels in node order
+    by_label = first.by_label
+    labels = map(first.labels.__getitem__, by_label.tolist())
+    values = np.stack([tables[n].scores.array for n in names], axis=1)[by_label]
 
     def write(out: TextIO) -> None:
+        if args.format == "json":  # json.dump's indent=2 layout, a label at a time
+            for i, (x, row) in enumerate(zip(labels, values)):
+                cells = json.dumps(dict(zip(names, row.tolist())), indent=2).replace("\n", "\n  ")
+                out.write(f"{',' if i else '{'}\n  {json.dumps(x)}: {cells}")
+            out.write("\n}\n" if len(values) else "{}\n")
+            return
         out.write("label," + ",".join(names) + "\n")
-        rows = _fixed6_rows([[tables[n][x] for n in names] for x in labels])
-        for x, row in zip(labels, rows):
+        for x, row in zip(labels, _fixed6_rows(values)):
             out.write(csv_field(x) + "," + row + "\n")
 
     return write

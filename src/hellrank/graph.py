@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -70,8 +71,10 @@ class NeighborDegreeVector:
 class BipartiteGraph:
     """Immutable two-mode graph.  Links connect a left node to a right node.
 
-    Labels are numbered per side, first seen first and isolated nodes last.
-    The links are one read-only symmetric CSR, left rows then right rows
+    Labels are numbered per side, first seen first and isolated nodes last,
+    and held once per side, as the tuples ``_left`` and ``_right``; the
+    ``{label: index}`` dicts are built on the first lookup by label.  The
+    links are one read-only symmetric CSR, left rows then right rows
     (``_indptr``, ``_indices``, ``_degree``, ``_weights`` or None), each row
     in ascending label order, which fixes the order of every sum over a row.
     """
@@ -108,8 +111,7 @@ class BipartiteGraph:
             left.setdefault(u, len(left))
         for v in isolated_right:
             right.setdefault(v, len(right))
-        self._left, self._right = tuple(left), tuple(right)
-        self._left_index, self._right_index = left, right
+        self._left, self._right = tuple(left), tuple(right)  # not the reader's dicts
         n1 = len(left)
         row_u = np.array(iu, dtype=np.int64)  # the CSR row of each link's ends
         row_v = np.array(iv, dtype=np.int64) + n1
@@ -138,6 +140,14 @@ class BipartiteGraph:
             if mass[i] > np.finfo(np.float64).max / 2:
                 node = f"left node {self._left[i]!r}" if i < n1 else f"right node {self._right[i - n1]!r}"
                 raise ValueError(f"the link weights of {node} sum to {mass[i]:g}, above float max / 2")
+
+    @cached_property
+    def _left_index(self) -> dict[str, int]:
+        return dict(zip(self._left, range(len(self._left))))
+
+    @cached_property
+    def _right_index(self) -> dict[str, int]:
+        return dict(zip(self._right, range(len(self._right))))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -233,6 +243,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _label_order(labels: tuple[str, ...]) -> np.ndarray:
+    """The positions of ``labels`` in ascending label order, as ``sorted`` orders them."""
+    column = np.empty(len(labels), dtype=object)  # not 'U': its strings drop trailing NULs
+    column[:] = labels
+    return np.argsort(column, kind="stable")
+
+
 def _symmetric_csr(u: np.ndarray, v: np.ndarray, labels: tuple[str, ...], inverse: bool = False):
     """(indptr, indices, entry) of the symmetric CSR, one row per label, of
     the links u[k] -- v[k] != u[k], each row in ascending Python label order.
@@ -240,7 +257,7 @@ def _symmetric_csr(u: np.ndarray, v: np.ndarray, labels: tuple[str, ...], invers
     ``entry[k]`` is that of u[k] -> v[k] and ``entry[len(u) + k]`` that of
     v[k] -> u[k]; otherwise ``entry`` is None."""
     n, m = len(labels), len(u)
-    by_label = np.array(sorted(range(n), key=labels.__getitem__), dtype=np.int64)
+    by_label = _label_order(labels)
     rank = np.empty(n, dtype=np.int64)
     rank[by_label] = np.arange(n)
     # one key row * n + rank[col] per direction, written in place
@@ -256,7 +273,8 @@ def _symmetric_csr(u: np.ndarray, v: np.ndarray, labels: tuple[str, ...], invers
         first = np.empty(len(keys), dtype=bool)
         first[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
+        if not first.all():  # a link repeats
+            keys = keys[first]
     indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # row i's keys start at i * n
     np.remainder(keys, max(n, 1), out=keys)  # each key's rank[col]
     return _frozen(indptr), _frozen(by_label[keys]), entry
@@ -392,18 +410,24 @@ class UnipartiteGraph:
                 raise UnknownNodeError(f"edge ({u!r}, {v!r}) references unknown node")
             pairs.append((index[u], index[v]))
         a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        self._store(nodes, index, a, b)
+        self._store(nodes, a, b)
+        self._index = index
 
     @classmethod
     def _from_pairs(cls, nodes: Iterable[str], a: np.ndarray, b: np.ndarray) -> "UnipartiteGraph":
         """The graph on the distinct ``nodes`` with the edges nodes[a[k]] -- nodes[b[k]] != nodes[a[k]]."""
-        graph, nodes = cls.__new__(cls), tuple(nodes)
-        graph._store(nodes, {x: i for i, x in enumerate(nodes)}, a, b)
+        graph = cls.__new__(cls)
+        graph._store(tuple(nodes), a, b)
         return graph
 
-    def _store(self, nodes: tuple[str, ...], index: dict[str, int], a: np.ndarray, b: np.ndarray):
-        self._nodes, self._index = nodes, index
+    def _store(self, nodes: tuple[str, ...], a: np.ndarray, b: np.ndarray):
+        self._nodes = nodes
         self._indptr, self._indices, _ = _symmetric_csr(a, b, nodes)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """{label: index}, built on the first lookup by label."""
+        return dict(zip(self._nodes, range(len(self._nodes))))
 
     @property
     def nodes(self) -> tuple[str, ...]:

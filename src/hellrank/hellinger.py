@@ -33,7 +33,7 @@ from .graph import (
     csv_field,
     neighbor_degree_vector,
 )
-from .scores import CentralityScores, normalize_scores
+from .scores import CentralityScores, ScoreArray, normalize_scores
 
 __all__ = [
     "DistanceMode",
@@ -468,7 +468,7 @@ def hellrank(
     DegenerateDistancesWarning is emitted.
     """
     _check_blocking(block, threads)
-    labels = list(graph.nodes(side))
+    labels = graph.nodes(side)
     n = len(labels)
     if n < 2:
         raise ValueError(f"side {side.value} needs >= 2 nodes, has {n}")
@@ -490,7 +490,7 @@ def hellrank(
     else:
         values = n / sums
     metric = "hellrank-raw" if mode is DistanceMode.RAW else "hellrank"
-    return CentralityScores(side=side, metric=metric, scores=dict(zip(labels, values)))
+    return CentralityScores(side, metric, ScoreArray(labels, values))
 
 
 class DistanceMatrix:

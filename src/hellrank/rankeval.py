@@ -31,8 +31,9 @@ class RankVector:
 
     @classmethod
     def from_scores(cls, scores: CentralityScores) -> "RankVector":
-        labels = tuple(sorted(scores.scores))
-        return cls(labels, np.array([scores[x] for x in labels], dtype=float))
+        table = scores.scores
+        by_label = table.by_label
+        return cls(tuple(map(table.labels.__getitem__, by_label.tolist())), table.array[by_label])
 
 
 def _aligned(a: RankVector, b: RankVector) -> tuple[np.ndarray, np.ndarray]:
@@ -128,8 +129,8 @@ def spearman_rho(a: RankVector, b: RankVector) -> float:
 def _ranking(scores: CentralityScores) -> tuple[tuple[str, ...], np.ndarray]:
     """Sorted labels and their positions from best score to worst, ties in
     label order (the order of ``CentralityScores.ranked``)."""
-    labels = tuple(sorted(scores.scores))
-    return labels, np.argsort([-scores[x] for x in labels], kind="stable")
+    vector = RankVector.from_scores(scores)
+    return vector.labels, np.argsort(-vector.values, kind="stable")
 
 
 def top_k_vector(scores: CentralityScores, k: int) -> RankVector:
@@ -150,13 +151,13 @@ def sweep_k(
     Undefined points (a constant indicator vector) are reported as None.
     """
     n = len(a.scores)
-    if set(a.scores) != set(b.scores):
+    # rank each table once and grow both indicators one position per k
+    labels, order_a = _ranking(a)
+    labels_b, order_b = _ranking(b)
+    if labels != labels_b:
         raise ValueError("score tables cover different label sets")
     if not 1 <= k_max <= n - 1:
         raise ValueError(f"k_max must be in 1..{n - 1}, got {k_max}")
-    # rank each table once and grow both indicators one position per k
-    labels, order_a = _ranking(a)
-    order_b = _ranking(b)[1]
     top_a, top_b = np.zeros(n), np.zeros(n)
     out: list[tuple[int, float | None]] = []
     for k in range(1, k_max + 1):

@@ -3,6 +3,7 @@ score tables read back by csv.reader."""
 
 import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -89,7 +90,12 @@ LABEL_CHARS = st.sampled_from(EDGE_CHARS + [" "])
 @example({'a,"b"\r\n': 0.5, "": -0.0, "\r": 1e9, "x\n": 2.0000005})
 def test_scores_csv_reads_back(scores):
     out = io.StringIO()
-    CentralityScores(Side.LEFT, "m", scores).to_csv(out)
+    table = CentralityScores(Side.LEFT, "m", scores)
+    table.to_csv(out)
+    assert table.scores == scores
+    json_out = io.StringIO()
+    table.to_json(json_out)
+    assert json_out.getvalue() == json.dumps(dict(table.ranked()), indent=2) + "\n"
     rows = read_back(out.getvalue())
     assert rows[0] == ["label", "score"] and len(rows) == 1 + len(scores)
     back = dict(rows[1:])

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from hellrank import (
     weighted_neighbor_degree_vector,
 )
 from hellrank import graph as graph_module
+from hellrank.baselines import bipartite_degree, pagerank
+from hellrank.hellinger import hellrank
 
 from oracles import dict_bipartite, dict_csr, random_bipartite
 from test_hellinger import traced_peak
@@ -378,6 +381,43 @@ class TestMemory:
         g, peak = traced_peak(lambda: load_edge_list(lines))
         assert g.num_links > 29_000
         assert peak < 8e6
+
+    def test_label_index_on_first_lookup(self, lines):
+        # the graph holds each side's labels once, as a tuple; the reader's
+        # {label: index} dicts are not kept
+        g = load_edge_list(lines)
+        assert "_left_index" not in vars(g) and "_right_index" not in vars(g)
+        assert g.neighbors("a0", Side.LEFT) and g.degree("a0") >= 1
+        assert {"_left_index", "_right_index"} <= vars(g).keys()
+        assert g._left_index == {x: i for i, x in enumerate(g.left_nodes)}
+        assert load_edge_list(lines).side_of("p0") is Side.RIGHT
+        with pytest.raises(UnknownNodeError):
+            load_edge_list(lines).degree("nobody")
+        with pytest.raises(ValueError, match="both sides"):
+            BipartiteGraph([("x", "x"), ("x", "y")]).side_of("x")
+
+    def test_score_tables_hold_an_array(self, lines):
+        # a table keeps the graph's label tuple and one float64 per node; a
+        # dict of Python floats per table kept about 62 bytes per node
+        g = load_edge_list(lines)
+        g.side_of("a0")  # the kernel looks nodes up by label; build the index first
+        for side, table in [
+            (Side.RIGHT, lambda: pagerank(g, side=Side.RIGHT)),
+            (Side.LEFT, lambda: pagerank(g, side=Side.LEFT)),
+            (Side.RIGHT, lambda: bipartite_degree(g, Side.RIGHT)),
+            (Side.LEFT, lambda: hellrank(g, Side.LEFT)),
+        ]:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                scores = table()
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            n = len(g.nodes(side))
+            assert len(scores) == n > 2000
+            assert kept < 16 * n + 4096, (scores.metric, kept / n)
+            assert scores.scores.labels is g.nodes(side)
 
     def test_to_edge_list_of_a_projection(self, lines):
         proj = project(load_edge_list(lines), Side.LEFT)

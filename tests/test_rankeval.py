@@ -19,7 +19,7 @@ from hellrank import (
     top_k_vector,
 )
 from hellrank.rankeval import _pair_counts, sweep_to_csv
-from hellrank.scores import CentralityScores
+from hellrank.scores import CentralityScores, ScoreArray
 
 from oracles import blocked_kendall_counts, brute_kendall_tau_a
 
@@ -93,6 +93,12 @@ class TestKendallTau:
             kendall_tau(rv([1, np.nan, 3]), rv([1, 2, 3]))
         with pytest.raises(ValueError, match="finite"):
             kendall_tau(rv([1, 2, 3]), rv([1, np.inf, 3]), variant="b")
+        # a score table, from a dict or from an array, names its first bad label
+        for bad, text in [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]:
+            with pytest.raises(ValueError, match=f"^non-finite score for 'y': {text}$"):
+                CentralityScores(Side.LEFT, "m", {"x": 1.0, "y": bad, "z": np.nan})
+            with pytest.raises(ValueError, match=f"^non-finite score for 'y': {text}$"):
+                CentralityScores(Side.LEFT, "m", ScoreArray(("x", "y", "z"), [1.0, bad, np.nan]))
 
     def test_tau_b_matches_scipy(self, rng):
         for _ in range(10):
@@ -165,6 +171,14 @@ class TestTopK:
         s = scores([1.0, 1.0, 1.0])
         v = top_k_vector(s, 1)
         assert dict(zip(v.labels, v.values)) == {"n0": 1.0, "n1": 0.0, "n2": 0.0}
+        # a table built from an array ranks and compares as one built from a dict
+        a = CentralityScores(Side.LEFT, "m", ScoreArray(("c", "b\x00", "b", "a"), [2.0, 1.0, 1.0, -0.0]))
+        assert a.ranked() == [("c", 2.0), ("b", 1.0), ("b\x00", 1.0), ("a", 0.0)]
+        assert a.top_k(2) == ["c", "b"] and a.labels == ["c", "b\x00", "b", "a"]
+        assert a.scores == {"a": 0.0, "b": 1.0, "b\x00": 1.0, "c": 2.0} == a.scores
+        assert a.scores != {"a": 0.0, "b": 1.0, "c": 2.0}
+        assert a == CentralityScores(Side.LEFT, "m", {"a": 0.0, "b": 1.0, "c": 2.0, "b\x00": 1.0})
+        assert a["b\x00"] == 1.0 and "b" in a.scores and "d" not in a.scores
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -244,3 +258,29 @@ def test_cli_baselines_leave_csgraph_and_linalg_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0 False False"
+
+
+@pytest.mark.parametrize("command", ["correlate", "sweep-k"])
+@pytest.mark.parametrize("metrics", [("degree2", "pagerank"), ("eigenvector", "closeness2"),
+                                     ("latapy", "betweenness1")])
+def test_cli_rank_statistics_build_no_label_index(tmp_path, monkeypatch, capsys, command, metrics):
+    # the rank statistics read the score arrays: neither the graph nor a table
+    # builds a {label: index} dict when no metric looks a node up by label
+    import hellrank.cli
+
+    path = tmp_path / "g.tsv"
+    path.write_text("".join(f"a{i % 7}\tp{(i * 5) % 11}\n" for i in range(40)))
+    made = []
+
+    def keep(fn):
+        return lambda *args, **kwargs: made.append(fn(*args, **kwargs)) or made[-1]
+
+    monkeypatch.setattr(hellrank.cli, "load_edge_list", keep(hellrank.cli.load_edge_list))
+    monkeypatch.setattr(hellrank.cli, "compute_metric", keep(hellrank.cli.compute_metric))
+    argv = [command, "--input", str(path), "--metric-a", metrics[0], "--metric-b", metrics[1]]
+    assert hellrank.cli.run(argv) == 0
+    assert capsys.readouterr().out
+    graph, *tables = made
+    assert len(tables) == 2
+    assert not {"_left_index", "_right_index"} & vars(graph).keys()
+    assert not any("_index" in vars(t.scores) for t in tables)
