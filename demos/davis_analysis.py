@@ -41,7 +41,7 @@ for name, other in (("degree", degree), ("closeness", closeness)):
 
 print("\nTop-k agreement with degree as k grows:")
 for k, rho in sweep_k(scores, degree, 10):
-    bar = "#" * int(round(20 * max(rho or 0.0, 0.0)))
+    bar = "#" * int(round(20 * max(rho, 0.0)))
     print(f"  k={k:2d}  rho={rho:6.3f}  {bar}")
 
 print("\nComponents of the threshold graph (edges where distance < 0.5):")

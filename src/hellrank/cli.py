@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: scores, distances, correlate, sweep-k, threshold-graph,
-null-model, project.  All runs are deterministic for fixed inputs and seed;
-``--threads`` changes wall time only, never output bytes.
+null-model, project.  All runs are deterministic for fixed inputs and seed.
+``--threads`` (scores, correlate and sweep-k) splits the HellRank score's
+kernel blocks over threads: it changes wall time only, never output bytes.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ _sigmas = _number(float, lambda v: 0 <= v < float("inf"), "finite and >= 0")
 
 
 def _add_common(
-    p: argparse.ArgumentParser, needs_graph: bool = True, kernel: bool = False
+    p: argparse.ArgumentParser, needs_graph: bool = True, kernel: bool = False,
+    threads: bool = False,
 ) -> None:
-    """Register the shared flags; ``kernel`` adds the two that only the
-    Hellinger distance kernel reads, ``--mode`` and ``--threads``."""
+    """Register the shared flags; ``kernel`` adds ``--mode``, which only the
+    Hellinger distance kernel reads, and ``threads`` adds ``--threads``,
+    which only HellRank scores read."""
     if needs_graph:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--input", help="edge-list file path")
@@ -157,6 +160,7 @@ def _add_common(
     p.add_argument("--output", help="output file (default: stdout)")
     if kernel:
         p.add_argument("--mode", choices=["raw", "normalized"], default="normalized")
+    if threads:
         p.add_argument("--threads", type=_positive_int, default=None, help="worker threads")
 
 
@@ -167,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scores", help="centrality score tables")
-    _add_common(p, kernel=True)
+    _add_common(p, kernel=True, threads=True)
     p.add_argument("--metric", default="hellrank", choices=METRICS + ["all"])
     p.add_argument("--normalize", choices=["none", "max"], default="none")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="override the size cap")
 
     p = sub.add_parser("correlate", help="rank agreement between two metrics")
-    _add_common(p, kernel=True)
+    _add_common(p, kernel=True, threads=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--topk", type=_positive_int, default=5)
@@ -188,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(mode=None)
 
     p = sub.add_parser("sweep-k", help="top-k agreement series (CSV)")
-    _add_common(p, kernel=True)
+    _add_common(p, kernel=True, threads=True)
     p.add_argument("--metric-a", default="hellrank", choices=PER_NODE_METRICS)
     p.add_argument("--metric-b", required=True, choices=PER_NODE_METRICS)
     p.add_argument("--kmax", type=_positive_int, default=None)
@@ -268,10 +272,11 @@ def _scores(args) -> Writer:
 
     def write(out: TextIO) -> None:
         if args.format == "json":  # json.dump's indent=2 layout, a label at a time
+            # hellrank, computed first, refuses a side of fewer than 2 nodes
             for i, (x, row) in enumerate(zip(labels, values)):
                 cells = json.dumps(dict(zip(names, row.tolist())), indent=2).replace("\n", "\n  ")
                 out.write(f"{',' if i else '{'}\n  {json.dumps(x)}: {cells}")
-            out.write("\n}\n" if len(values) else "{}\n")
+            out.write("\n}\n")
             return
         out.write("label," + ",".join(names) + "\n")
         for x, row in zip(labels, _fixed6_rows(values)):
@@ -340,7 +345,7 @@ def _sweep_k(args) -> Writer:
 
 def _matrix(args, force: bool = False):
     return distance_matrix(_load_graph(args), Side(args.side), DistanceMode(args.mode),
-                           weighted=args.weighted, force=force, threads=args.threads)
+                           weighted=args.weighted, force=force)
 
 
 def _null_model(args) -> Writer:

@@ -18,7 +18,6 @@ import enum
 import math
 import numbers
 import warnings
-from collections import deque
 from functools import cached_property
 from typing import Iterator, Mapping, TextIO
 
@@ -307,24 +306,6 @@ def _run_blocks(fn, spans, threads: int | None):
     return [fn(*s) for s in spans]
 
 
-def _ahead(fn, spans, threads: int | None) -> Iterator:
-    """fn(*span) for each span, in order, with up to ``threads`` of them in
-    flight on a pool: a slow consumer holds back the pool."""
-    if threads is None or threads < 2 or len(spans) < 2:
-        yield from (fn(*s) for s in spans)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for s in spans:
-            pending.append(pool.submit(fn, *s))
-            if len(pending) == threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _node_runs(n: int) -> list[tuple[int, int]]:
     """Runs of whole rows of an n x n matrix, about graph._FORMAT_BLOCK_CELLS
     cells each: the block that the CSV writer formats."""
@@ -337,7 +318,6 @@ def _distance_rows(
     inverse: np.ndarray,
     coef: float,
     block: int,
-    threads: int | None,
     columns,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """(a, b, rows) for each of ``_node_runs(n)``, in node order: ``rows`` is
@@ -347,11 +327,11 @@ def _distance_rows(
 
     The distinct vectors' rows are computed ``block`` at a time and in order
     by ``_block_distances`` (with U's ``_columns``), as ``hellrank`` computes
-    them, up to ``threads`` blocks ahead.  A kernel block's rows are read in
-    place; a row that runs still read once the next block is needed is
-    copied out of it, so each block is freed before the next one is read.
-    Working memory holds the kernel blocks in flight, one run of node rows,
-    and the distinct rows that later nodes still share.
+    them, one block when a run first needs it.  A kernel block's rows are
+    read in place; a row that runs still read once the next block is needed
+    is copied out of it, so each block is freed before the next one is read.
+    Working memory holds one kernel block, one run of node rows, and the
+    distinct rows that later nodes still share.
     """
     n = len(inverse)
     u = U.shape[0]  # not len(U): the tests' sparse reference kernel has none
@@ -369,7 +349,7 @@ def _distance_rows(
         # first[hi] is the run that needs the next block
         return [(k, row.copy() if last[k] >= first[hi] else row) for k, row in enumerate(rows, start=lo)]
 
-    computed = _ahead(kernel_rows, _blocks(u, block), threads)
+    computed = (kernel_rows(lo, hi) for lo, hi in _blocks(u, block))
     kept: dict[int, np.ndarray] = {}
     out = np.empty((runs[0][1], n))
     for j, (a, b) in enumerate(runs):
@@ -385,7 +365,7 @@ def _distance_rows(
             del kept[k]
 
 
-def _check_blocking(block, threads) -> None:
+def _check_blocking(block, threads=None) -> None:
     """ValueError unless ``block`` is an integer >= 1 and ``threads`` is
     None or one."""
 
@@ -417,7 +397,6 @@ def distance_matrix(
     weighted: bool = False,
     max_side: int = DEFAULT_MATRIX_CAP,
     force: bool = False,
-    threads: int | None = None,
     block: int = 64,
 ) -> "DistanceMatrix":
     """Symmetric pairwise distance matrix for one side.
@@ -425,15 +404,15 @@ def distance_matrix(
     The matrix holds the side's u distinct vectors and their column index,
     and computes its rows when they are read: ``to_csv`` and
     ``threshold_graph`` never hold all of it.  The kernel computes ``block``
-    distinct vectors' rows at a time, each in one block x u array, on up to
-    ``threads`` threads; the node rows are read out of them a run of about
+    distinct vectors' rows at a time, in one block x u array, on the calling
+    thread; the node rows are read out of them a run of about
     graph._FORMAT_BLOCK_CELLS cells at a time, the CSV writer's block.  So
-    working memory grows with block x u per thread, plus one run and the
-    distinct rows that later nodes still read.  Its ``values`` array is
-    quadratic; sides larger than ``max_side`` are refused unless ``force``
-    is set.  ``block`` and ``threads`` change no output bit.
+    working memory grows with block x u, plus one run and the distinct rows
+    that later nodes still read.  Its ``values`` array is quadratic; sides
+    larger than ``max_side`` are refused unless ``force`` is set.  ``block``
+    changes no output bit.
     """
-    _check_blocking(block, threads)
+    _check_blocking(block)
     labels = list(graph.nodes(side))
     n = len(labels)
     if n == 0:
@@ -444,7 +423,7 @@ def distance_matrix(
         )
     U, mu, inverse, _, coef = _distinct_vectors(graph, labels, side, mode, weighted)
     matrix = DistanceMatrix(side=side, labels=labels, values=None, mode=mode)
-    matrix._kernel = (U, mu, inverse, coef, block, threads, _columns(U))
+    matrix._kernel = (U, mu, inverse, coef, block, _columns(U))
     return matrix
 
 

@@ -145,10 +145,11 @@ def top_k_vector(scores: CentralityScores, k: int) -> RankVector:
 
 def sweep_k(
     a: CentralityScores, b: CentralityScores, k_max: int
-) -> list[tuple[int, float | None]]:
+) -> list[tuple[int, float]]:
     """spearman_rho of the top-k indicator vectors for k = 1..k_max.
 
-    Undefined points (a constant indicator vector) are reported as None.
+    Every point is defined: for k < n both vectors hold k ones and n - k
+    zeros, so neither is constant.
     """
     n = len(a.scores)
     # rank each table once and grow both indicators one position per k
@@ -159,19 +160,16 @@ def sweep_k(
     if not 1 <= k_max <= n - 1:
         raise ValueError(f"k_max must be in 1..{n - 1}, got {k_max}")
     top_a, top_b = np.zeros(n), np.zeros(n)
-    out: list[tuple[int, float | None]] = []
+    out: list[tuple[int, float]] = []
     for k in range(1, k_max + 1):
         top_a[order_a[k - 1]] = 1.0
         top_b[order_b[k - 1]] = 1.0
-        try:
-            out.append((k, spearman_rho(RankVector(labels, top_a), RankVector(labels, top_b))))
-        except ValueError:
-            out.append((k, None))
+        out.append((k, spearman_rho(RankVector(labels, top_a), RankVector(labels, top_b))))
     return out
 
 
-def sweep_to_csv(series: list[tuple[int, float | None]], stream: TextIO) -> None:
+def sweep_to_csv(series: list[tuple[int, float]], stream: TextIO) -> None:
     stream.write("k,rho\n")
-    cells = _fixed6_rows([[0.0 if rho is None else rho] for _, rho in series])
-    for (k, rho), cell in zip(series, cells):
-        stream.write(f"{k},{'' if rho is None else cell}\n")
+    cells = _fixed6_rows([[rho] for _, rho in series])
+    for (k, _), cell in zip(series, cells):
+        stream.write(f"{k},{cell}\n")

@@ -57,9 +57,26 @@ class TestScores:
         assert lines[0] == "label," + ",".join(PER_NODE_METRICS)
         assert [line.split(",")[0] for line in lines[1:]] == ["A", "B", "C", "D"]
 
+    @pytest.mark.parametrize("normalize", ["none", "max"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_all_metrics_wide_json(self, capsys, side, normalize):
+        argv = ["scores", "--dataset", "davis", "--side", side, "--normalize", normalize,
+                "--format", "json"]
+        out = run_ok(capsys, argv + ["--metric", "all"])
+        data = json.loads(out)
+        # json.dump's indent=2 layout, labels sorted, each metric's own table
+        assert out == json.dumps(data, indent=2) + "\n"
+        assert list(data) == sorted(load_builtin("davis").nodes(Side(side)))
+        for name in PER_NODE_METRICS:
+            table = json.loads(run_ok(capsys, argv + ["--metric", name]))
+            assert {x: row[name] for x, row in data.items()} == table
+
     def test_opsahl_scalar(self, capsys, fig1_file):
         out = run_ok(capsys, ["scores", "--input", fig1_file, "--metric", "opsahl"])
         assert out == "metric,value\nopsahl,0.000000\n"
+        out = run_ok(capsys, ["scores", "--dataset", "davis", "--metric", "opsahl",
+                              "--format", "json"])
+        assert out == '{"opsahl": 0.7904111423597161}\n'
 
     def test_right_side(self, capsys):
         out = run_ok(
@@ -560,14 +577,16 @@ class TestErrorsAndDeterminism:
         [
             ["scores", "--dataset", "davis", "--seed", "3"],
             ["project", "--dataset", "davis", "--threads", "2"],
+            ["distances", "--dataset", "davis", "--threads", "2"],
+            ["threshold-graph", "--dataset", "davis", "--threads", "2"],
             ["null-model", "--n1", "5", "--n2", "10", "--p", "0.5", "--k", "5", "--threads", "2"],
             ["project", "--dataset", "davis", "--mode", "raw"],
             ["scores", "--dataset", "davis", "--metric", "opsahl", "--normalize", "max"],
         ],
     )
     def test_unread_flags_are_usage_errors(self, capsys, argv):
-        # --seed only reaches the null-model Monte Carlo, --threads and --mode only the
-        # kernel, --normalize only per-node scores
+        # --seed only reaches the null-model Monte Carlo, --mode only the kernel,
+        # --threads only HellRank scores, --normalize only per-node scores
         with pytest.raises(SystemExit) as err:
             run(argv)
         assert err.value.code == 2

@@ -251,25 +251,6 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="empty"):
             distance_matrix(g, Side.RIGHT)
 
-    def test_threads_do_not_change_bytes(self, rng):
-        g = random_bipartite(rng, 60, 40, 0.2)
-        outs = []
-        for threads in (None, 1, 4):
-            m = distance_matrix(g, Side.LEFT, threads=threads, block=16)
-            buf = io.StringIO()
-            m.to_csv(buf)
-            outs.append(buf.getvalue())
-        assert outs[0] == outs[1] == outs[2]
-
-    def test_threads_do_not_change_bytes_with_duplicates(self):
-        g = class_graph(40, 5)  # 200 nodes, 40 distinct vectors: three blocks of 16
-        outs = []
-        for threads in (1, 4):
-            buf = io.StringIO()
-            distance_matrix(g, Side.LEFT, threads=threads, block=16).to_csv(buf)
-            outs.append(buf.getvalue())
-        assert outs[0] == outs[1]
-
     def test_expansion_temporary_is_bounded(self):
         g = class_graph(20, 100)  # 2000 nodes; 16 of the 20 vectors cover 1600 of them
         block = 16
@@ -356,7 +337,8 @@ class TestHellRank:
         ("threads", 0), ("threads", -3), ("threads", 1.5), ("threads", True),
     ])
     def test_block_and_threads_are_checked(self, fig1, name, value):
-        for call in (hellrank, distance_matrix):
+        # distance_matrix computes on the calling thread and takes no threads
+        for call in (hellrank, distance_matrix) if name == "block" else (hellrank,):
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 call(fig1, Side.LEFT, **{name: value})
         # numpy integers are integers
@@ -607,7 +589,7 @@ PREFIXES = ["", "x,", '"q" ', "é", "a\"b,"]
 
 @st.composite
 def streamed_cases(draw):
-    """(graph, mode, weighted, block, threads): duplicate-heavy classes of
+    """(graph, mode, weighted, block): duplicate-heavy classes of
     left nodes, random extra links, isolated nodes on both sides, labels that
     need quoting."""
     edges = class_edges(draw(st.integers(1, 9)), draw(st.integers(1, 6)))
@@ -625,7 +607,7 @@ def streamed_cases(draw):
         isolated_right=[f"w{i}" for i in range(draw(st.integers(0, 2)))],
     )
     return (g, draw(st.sampled_from(MODES)), draw(st.booleans()) and weights is not None,
-            draw(st.sampled_from([1, 3, 16, 128])), draw(st.sampled_from([1, 2])))
+            draw(st.sampled_from([1, 3, 16, 128])))
 
 
 def csv_text(m: DistanceMatrix) -> str:
@@ -637,8 +619,8 @@ def csv_text(m: DistanceMatrix) -> str:
 @settings(max_examples=80, deadline=None)
 @given(streamed_cases(), st.sampled_from([0.0, 0.1, 0.5, 0.75, 2.0, math.inf]))
 def test_streamed_matrix_equals_materialised(case, threshold):
-    g, mode, weighted, block, threads = case
-    m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, threads=threads, block=block)
+    g, mode, weighted, block = case
+    m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, block=block)
     # both stream before .values is first read
     streamed_csv, streamed_cut = csv_text(m), threshold_graph(m, threshold)
     full = DistanceMatrix(m.side, m.labels, m.values, m.mode)
@@ -779,7 +761,7 @@ def test_bits_do_not_depend_on_block_height_or_threads(monkeypatch):
                     scores = hellrank(g, Side.LEFT, mode, weighted=weighted, threads=threads, block=block)
                     for cells in (40 * n, 1):
                         monkeypatch.setattr(graph_module, "_FORMAT_BLOCK_CELLS", cells)
-                        m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, threads=threads, block=block)
+                        m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, block=block)
                         results.append((np.array(list(scores.scores.values())), csv_text(m),
                                         [threshold_graph(m, t) for t in (0.3, 0.6)]))
             first = results[0]

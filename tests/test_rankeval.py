@@ -18,7 +18,7 @@ from hellrank import (
     sweep_k,
     top_k_vector,
 )
-from hellrank.rankeval import _pair_counts, sweep_to_csv
+from hellrank.rankeval import _pair_counts
 from hellrank.scores import CentralityScores, ScoreArray
 
 from oracles import blocked_kendall_counts, brute_kendall_tau_a
@@ -216,19 +216,11 @@ class TestSweepK:
         b = scores(rng.integers(0, 4, size=80))
 
         def per_k(k):
-            try:
-                return spearman_rho(top_k_vector(a, k), top_k_vector(b, k))
-            except ValueError:
-                return None
+            return spearman_rho(top_k_vector(a, k), top_k_vector(b, k))
 
-        assert sweep_k(a, b, 79) == [(k, per_k(k)) for k in range(1, 80)]
-
-    def test_csv_with_missing_points(self):
-        import io
-
-        buf = io.StringIO()
-        sweep_to_csv([(1, 0.5), (2, None)], buf)
-        assert buf.getvalue() == "k,rho\n1,0.500000\n2,\n"
+        series = sweep_k(a, b, 79)
+        assert series == [(k, per_k(k)) for k in range(1, 80)]
+        assert all(type(rho) is float for _, rho in series)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
