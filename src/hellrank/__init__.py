@@ -22,7 +22,6 @@ _PUBLIC = {
         "load_node_list",
         "neighbor_degree_vector",
         "project",
-        "weighted_neighbor_degree_vector",
     ),
     "hellinger": (
         "DistanceMatrix",
@@ -33,7 +32,6 @@ _PUBLIC = {
         "hellrank",
         "node_distance",
         "threshold_graph",
-        "weighted_node_distance",
     ),
     "scores": ("CentralityScores", "ScoreArray", "normalize_scores"),
     "baselines": (

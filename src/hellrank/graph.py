@@ -577,13 +577,6 @@ def neighbor_degree_vector(
     return NeighborDegreeVector(entries)
 
 
-def weighted_neighbor_degree_vector(
-    graph: BipartiteGraph, node: str, side: Side | None = None
-) -> NeighborDegreeVector:
-    """neighbor_degree_vector with each neighbor contributing its link weight."""
-    return neighbor_degree_vector(graph, node, side, weighted=True)
-
-
 def project(graph: BipartiteGraph, side: Side) -> UnipartiteGraph:
     """One-mode projection: u -- v iff u and v share at least one neighbor,
     read off the co-occurrence counts of ``B Bᵀ``."""

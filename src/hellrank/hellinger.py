@@ -32,22 +32,24 @@ from .graph import (
     csv_field,
     neighbor_degree_vector,
 )
-from .scores import CentralityScores, ScoreArray, normalize_scores
+from .scores import CentralityScores, ScoreArray
 
 __all__ = [
     "DistanceMode",
     "DistanceMatrix",
     "hellinger_distance",
     "node_distance",
-    "weighted_node_distance",
     "distance_matrix",
     "hellrank",
-    "normalize_scores",
     "distance_bounds",
     "threshold_graph",
 ]
 
-DEFAULT_MATRIX_CAP = 20_000
+# Distinct vectors per kernel block: one block holds a _BLOCK_ROWS x u array
+# (u distinct vectors), and no output bit moves with the height.
+_BLOCK_ROWS = 64
+# Sides larger than this get no distance matrix unless force=True.
+MATRIX_CAP = 20_000
 
 
 class DistanceMode(enum.Enum):
@@ -76,6 +78,8 @@ def hellinger_distance(p, q) -> float:
         qv = np.asarray(q, dtype=float)
         if pv.shape != qv.shape:
             raise ValueError(f"length mismatch: {pv.shape} vs {qv.shape}")
+    if not (np.isfinite(pv).all() and np.isfinite(qv).all()):
+        raise ValueError("vector entries must be finite")
     if (pv < 0).any() or (qv < 0).any():
         raise ValueError("vector entries must be >= 0")
     diff = np.sqrt(pv) - np.sqrt(qv)
@@ -108,17 +112,6 @@ def node_distance(
     side = _same_side(graph, x, y, side)
     S, _, coef = _sqrt_mass_matrix(_node_counts(graph, [x, y], side, weighted), mode)
     return math.sqrt(_sq_diff(S, [0], [1], coef)[0])
-
-
-def weighted_node_distance(
-    graph: BipartiteGraph,
-    x: str,
-    y: str,
-    mode: DistanceMode = DistanceMode.NORMALIZED,
-    side: Side | None = None,
-) -> float:
-    """node_distance on the weight-summed neighbor-degree vectors."""
-    return node_distance(graph, x, y, mode, side, weighted=True)
 
 
 def distance_bounds(k1: int, k2: int) -> tuple[float, float]:
@@ -235,10 +228,10 @@ def _columns(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.searchsorted(cols, np.arange(S.shape[1] + 1)), rows, S[rows, cols]
 
 
-def _gram(S: np.ndarray, lo: int, hi: int, columns=None) -> np.ndarray:
+def _gram(S: np.ndarray, lo: int, hi: int, columns) -> np.ndarray:
     """S[lo:hi] @ S.T, accumulated one column at a time in ascending order
     over that column's nonzero rows, read from ``columns``, S's
-    ``_columns`` (built here when not given).
+    ``_columns``.
 
     That is the summation order of a CSR product, so every entry is the same
     double on any block height.  A BLAS product is not: it rounds
@@ -247,7 +240,7 @@ def _gram(S: np.ndarray, lo: int, hi: int, columns=None) -> np.ndarray:
     products.
     """
     u = S.shape[0]
-    ptr, rows, values = _columns(S) if columns is None else columns
+    ptr, rows, values = columns
     g = np.zeros((hi - lo, u))
     flat = g.reshape(-1)
     for k in range(len(ptr) - 1):
@@ -317,7 +310,6 @@ def _distance_rows(
     mu: np.ndarray,
     inverse: np.ndarray,
     coef: float,
-    block: int,
     columns,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """(a, b, rows) for each of ``_node_runs(n)``, in node order: ``rows`` is
@@ -325,7 +317,7 @@ def _distance_rows(
     distinct vector U[inverse[i]].  Every run is written to one buffer, so a
     consumer copies what it keeps before it asks for the next.
 
-    The distinct vectors' rows are computed ``block`` at a time and in order
+    The distinct vectors' rows are computed _BLOCK_ROWS at a time and in order
     by ``_block_distances`` (with U's ``_columns``), as ``hellrank`` computes
     them, one block when a run first needs it.  A kernel block's rows are
     read in place; a row that runs still read once the next block is needed
@@ -349,7 +341,7 @@ def _distance_rows(
         # first[hi] is the run that needs the next block
         return [(k, row.copy() if last[k] >= first[hi] else row) for k, row in enumerate(rows, start=lo)]
 
-    computed = (kernel_rows(lo, hi) for lo, hi in _blocks(u, block))
+    computed = (kernel_rows(lo, hi) for lo, hi in _blocks(u, _BLOCK_ROWS))
     kept: dict[int, np.ndarray] = {}
     out = np.empty((runs[0][1], n))
     for j, (a, b) in enumerate(runs):
@@ -363,19 +355,6 @@ def _distance_rows(
         yield a, b, rows
         for k in set(mine[last[mine] == j].tolist()):
             del kept[k]
-
-
-def _check_blocking(block, threads=None) -> None:
-    """ValueError unless ``block`` is an integer >= 1 and ``threads`` is
-    None or one."""
-
-    def count(value) -> bool:
-        return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-    if not count(block):
-        raise ValueError(f"block must be an integer >= 1, got {block!r}")
-    if threads is not None and not count(threads):
-        raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
 
 
 def _distinct_vectors(
@@ -395,35 +374,31 @@ def distance_matrix(
     side: Side,
     mode: DistanceMode = DistanceMode.NORMALIZED,
     weighted: bool = False,
-    max_side: int = DEFAULT_MATRIX_CAP,
     force: bool = False,
-    block: int = 64,
 ) -> "DistanceMatrix":
     """Symmetric pairwise distance matrix for one side.
 
     The matrix holds the side's u distinct vectors and their column index,
     and computes its rows when they are read: ``to_csv`` and
-    ``threshold_graph`` never hold all of it.  The kernel computes ``block``
-    distinct vectors' rows at a time, in one block x u array, on the calling
-    thread; the node rows are read out of them a run of about
+    ``threshold_graph`` never hold all of it.  The kernel computes _BLOCK_ROWS
+    distinct vectors' rows at a time, in one _BLOCK_ROWS x u array, on the
+    calling thread; the node rows are read out of them a run of about
     graph._FORMAT_BLOCK_CELLS cells at a time, the CSV writer's block.  So
-    working memory grows with block x u, plus one run and the distinct rows
-    that later nodes still read.  Its ``values`` array is quadratic; sides
-    larger than ``max_side`` are refused unless ``force`` is set.  ``block``
-    changes no output bit.
+    working memory grows with _BLOCK_ROWS x u, plus one run and the distinct
+    rows that later nodes still read.  Its ``values`` array is quadratic;
+    sides larger than MATRIX_CAP are refused unless ``force`` is set.
     """
-    _check_blocking(block)
     labels = list(graph.nodes(side))
     n = len(labels)
     if n == 0:
         raise ValueError(f"side {side.value} is empty")
-    if n > max_side and not force:
+    if n > MATRIX_CAP and not force:
         raise MemoryError(
-            f"side has {n} nodes (> cap {max_side}); pass force=True to override"
+            f"side has {n} nodes (> cap {MATRIX_CAP}); pass force=True to override"
         )
     U, mu, inverse, _, coef = _distinct_vectors(graph, labels, side, mode, weighted)
     matrix = DistanceMatrix(side=side, labels=labels, values=None, mode=mode)
-    matrix._kernel = (U, mu, inverse, coef, block, _columns(U))
+    matrix._kernel = (U, mu, inverse, coef, _columns(U))
     return matrix
 
 
@@ -433,20 +408,22 @@ def hellrank(
     mode: DistanceMode = DistanceMode.NORMALIZED,
     weighted: bool = False,
     threads: int | None = None,
-    block: int = 64,
 ) -> CentralityScores:
     """Per-node score n / (sum of distances to every node of the side).
 
     Row sums are streamed block by block over the distinct neighbor-degree
     vectors, each weighted by how many nodes share it, so the quadratic matrix
-    is never materialized: each of up to ``threads`` threads scores ``block``
-    distinct vectors at a time in one block x u array (u distinct vectors),
-    from a column index of the vectors built once per call.  ``block`` and
-    ``threads`` change no output bit.  If every pairwise distance is zero
-    (structurally identical nodes) all scores are 1.0 and a
+    is never materialized: each of up to ``threads`` threads scores
+    _BLOCK_ROWS distinct vectors at a time in one _BLOCK_ROWS x u array (u
+    distinct vectors), from a column index of the vectors built once per
+    call.  ``threads`` changes no output bit.  If every pairwise distance is
+    zero (structurally identical nodes) all scores are 1.0 and a
     DegenerateDistancesWarning is emitted.
     """
-    _check_blocking(block, threads)
+    if threads is not None and (
+        not isinstance(threads, numbers.Integral) or isinstance(threads, bool) or threads < 1
+    ):
+        raise ValueError(f"threads must be None or an integer >= 1, got {threads!r}")
     labels = graph.nodes(side)
     n = len(labels)
     if n < 2:
@@ -459,7 +436,7 @@ def hellrank(
         d *= counts
         return d.sum(axis=1)
 
-    sums = np.concatenate(_run_blocks(row_sums, _blocks(len(counts), block), threads))[inverse]
+    sums = np.concatenate(_run_blocks(row_sums, _blocks(len(counts), _BLOCK_ROWS), threads))[inverse]
     if not sums.any():
         warnings.warn(
             "all pairwise distances are zero; returning uniform scores",

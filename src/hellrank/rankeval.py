@@ -118,6 +118,8 @@ def kendall_tau(a: RankVector, b: RankVector, variant: str = "a") -> float:
 def spearman_rho(a: RankVector, b: RankVector) -> float:
     """Pearson correlation applied to the supplied value vectors as-is."""
     x, y = _aligned(a, b)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("rank vectors must be finite")
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())

@@ -17,6 +17,7 @@ from hellrank import (
     monte_carlo_distance,
     node_distance,
 )
+from hellrank import hellinger
 
 from oracles import sparse_kernel
 
@@ -54,10 +55,11 @@ def test_all_pairs_bit_identical(monkeypatch, seed, weighted, side, mode):
         want_scores = scores_array(hellrank(g, side, mode, weighted=weighted))
         want_matrix = distance_matrix(g, side, mode, weighted=weighted).values
     for block in (1, 16, 128, 1024):
+        monkeypatch.setattr(hellinger, "_BLOCK_ROWS", block)
         for threads in (1, 4):
-            got = hellrank(g, side, mode, weighted=weighted, threads=threads, block=block)
+            got = hellrank(g, side, mode, weighted=weighted, threads=threads)
             assert np.array_equal(scores_array(got), want_scores)
-        m = distance_matrix(g, side, mode, weighted=weighted, block=block)
+        m = distance_matrix(g, side, mode, weighted=weighted)
         assert np.array_equal(m.values, want_matrix)
 
 

@@ -21,7 +21,6 @@ from hellrank import (
     neighbor_degree_vector,
     project,
     threshold_graph,
-    weighted_neighbor_degree_vector,
 )
 from hellrank import graph as graph_module
 from hellrank.baselines import bipartite_degree, pagerank
@@ -180,9 +179,9 @@ class TestNeighborDegreeVector:
 
     def test_weighted(self):
         g = BipartiteGraph([("a", "1"), ("a", "2"), ("b", "2")], weights=[2.0, 0.5, 1.0])
-        assert weighted_neighbor_degree_vector(g, "a").entries == {1: 2.0, 2: 0.5}
+        assert neighbor_degree_vector(g, "a", weighted=True).entries == {1: 2.0, 2: 0.5}
         with pytest.raises(ValueError, match="no link weights"):
-            weighted_neighbor_degree_vector(BipartiteGraph([("a", "1")]), "a")
+            neighbor_degree_vector(BipartiteGraph([("a", "1")]), "a", weighted=True)
 
 
 class TestProjection:

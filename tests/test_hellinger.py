@@ -1,6 +1,5 @@
 import concurrent.futures
 import csv
-import inspect
 import io
 import math
 import os
@@ -24,7 +23,6 @@ from hellrank import (
     hellrank,
     node_distance,
     threshold_graph,
-    weighted_node_distance,
 )
 from hellrank import graph as graph_module
 from hellrank import hellinger
@@ -98,6 +96,13 @@ class TestHellingerDistance:
         with pytest.raises(TypeError):
             hellinger_distance({1: 1.0}, [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # nan passed the >= 0 check and came out as a nan distance
+        for p, q in [([bad, 1.0], [1.0, 1.0]), ([1.0], [bad]), ({1: bad}, {2: 1.0}), ({1: 1.0}, {1: bad})]:
+            with pytest.raises(ValueError, match="finite"):
+                hellinger_distance(p, q)
+
 
 class TestNodeDistance:
     def test_fig1_normalized(self, fig1):
@@ -140,14 +145,14 @@ class TestNodeDistance:
     def test_weighted(self):
         g = BipartiteGraph([("a", "1"), ("b", "1"), ("b", "2")], weights=[1.0, 4.0, 1.0])
         # masses: a -> {2: 1}, b -> {2: 4, 1: 1}; normalized D_H^2 = 1 - sqrt(0.8)
-        got = weighted_node_distance(g, "a", "b")
+        got = node_distance(g, "a", "b", weighted=True)
         assert got == pytest.approx(math.sqrt(1 - math.sqrt(0.8)), abs=1e-12)
         with pytest.raises(ValueError, match="no link weights"):
-            weighted_node_distance(BipartiteGraph([("a", "1"), ("b", "1")]), "a", "b")
+            node_distance(BipartiteGraph([("a", "1"), ("b", "1")]), "a", "b", weighted=True)
 
 
 class TestNodeDistanceOracle:
-    """node_distance and weighted_node_distance against brute_distance on
+    """node_distance, plain and weighted, against brute_distance on
     inputs where a pair's distance cancels or a vector is empty."""
 
     @staticmethod
@@ -166,9 +171,8 @@ class TestNodeDistanceOracle:
             assert node_distance(g, x, y, mode) == pytest.approx(want, abs=1e-12)
             if g.is_weighted:
                 want = brute_distance(g, x, y, Side.LEFT, normalized, weighted=True)
-                got = weighted_node_distance(g, x, y, mode)
+                got = node_distance(g, x, y, mode, weighted=True)
                 assert got == pytest.approx(want, abs=1e-12)
-                assert node_distance(g, x, y, mode, weighted=True) == got
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("weights", [False, True])
@@ -207,7 +211,7 @@ class TestUnitWeights:
             nodes = g.nodes(side)
             for mode in MODES:
                 for x, y in [(nodes[0], z) for z in nodes[1:]] + [(nodes[3], nodes[7])]:
-                    assert weighted_node_distance(g, x, y, mode, side) == node_distance(
+                    assert node_distance(g, x, y, mode, side, weighted=True) == node_distance(
                         plain, x, y, mode, side
                     )
                 assert np.array_equal(
@@ -240,10 +244,11 @@ class TestDistanceMatrix:
                     if x != y:
                         assert m[x, y] == pytest.approx(node_distance(fig1, x, y, mode), abs=1e-12)
 
-    def test_size_cap(self, fig1):
-        with pytest.raises(MemoryError, match="cap"):
-            distance_matrix(fig1, Side.RIGHT, max_side=3)
-        m = distance_matrix(fig1, Side.RIGHT, max_side=3, force=True)
+    def test_size_cap(self, fig1, monkeypatch):
+        monkeypatch.setattr(hellinger, "MATRIX_CAP", 3)
+        with pytest.raises(MemoryError, match="cap 3"):
+            distance_matrix(fig1, Side.RIGHT)
+        m = distance_matrix(fig1, Side.RIGHT, force=True)
         assert m.values.shape == (7, 7)
 
     def test_empty_side(self):
@@ -251,13 +256,15 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="empty"):
             distance_matrix(g, Side.RIGHT)
 
-    def test_expansion_temporary_is_bounded(self):
+    def test_expansion_temporary_is_bounded(self, monkeypatch):
         g = class_graph(20, 100)  # 2000 nodes; 16 of the 20 vectors cover 1600 of them
+        want = distance_matrix(g, Side.LEFT).values
         block = 16
-        m, peak = traced_peak(lambda: distance_matrix(g, Side.LEFT, block=block))
+        monkeypatch.setattr(hellinger, "_BLOCK_ROWS", block)
+        m, peak = traced_peak(lambda: distance_matrix(g, Side.LEFT))
         n = len(m.labels)
         assert peak <= m.values.nbytes + 4 * block * n * 8
-        assert np.array_equal(m.values, distance_matrix(g, Side.LEFT).values)
+        assert np.array_equal(m.values, want)
 
     def test_csv_writer_memory_is_bounded(self, rng):
         # cells are formatted a block of rows at a time, never the whole matrix
@@ -325,24 +332,24 @@ class TestHellRank:
             raise AssertionError("the count matrix was built")
 
         monkeypatch.setattr(hellinger, "_node_counts", counts)
+        monkeypatch.setattr(hellinger, "MATRIX_CAP", 1)
         with pytest.raises(MemoryError, match="cap 1"):
-            distance_matrix(fig1, Side.LEFT, max_side=1)
+            distance_matrix(fig1, Side.LEFT)
         with pytest.raises(ValueError, match="empty"):
             distance_matrix(BipartiteGraph([], isolated_left=["a"]), Side.RIGHT)
         with pytest.raises(ValueError, match=">= 2"):
             hellrank(BipartiteGraph([("a", "1")]), Side.LEFT)
 
     @pytest.mark.parametrize("name, value", [
-        ("block", 0), ("block", -1), ("block", 2.0), ("block", True), ("block", None),
         ("threads", 0), ("threads", -3), ("threads", 1.5), ("threads", True),
     ])
     def test_block_and_threads_are_checked(self, fig1, name, value):
+        # the block height is the constant hellinger._BLOCK_ROWS, and
         # distance_matrix computes on the calling thread and takes no threads
-        for call in (hellrank, distance_matrix) if name == "block" else (hellrank,):
-            with pytest.raises(ValueError, match=f"^{name} must be"):
-                call(fig1, Side.LEFT, **{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            hellrank(fig1, Side.LEFT, **{name: value})
         # numpy integers are integers
-        got = hellrank(fig1, Side.LEFT, block=np.int64(3), threads=np.int32(2))
+        got = hellrank(fig1, Side.LEFT, threads=np.int32(2))
         assert got.scores == hellrank(fig1, Side.LEFT).scores
 
     def test_degenerate_uniform(self):
@@ -351,17 +358,19 @@ class TestHellRank:
             hr = hellrank(g, Side.LEFT)
         assert hr["a"] == hr["b"] == 1.0
 
-    def test_threads_deterministic(self, rng):
+    def test_threads_deterministic(self, rng, monkeypatch):
         g = random_bipartite(rng, 80, 30, 0.15)
-        a = hellrank(g, Side.LEFT, threads=1, block=16)
-        b = hellrank(g, Side.LEFT, threads=4, block=16)
+        monkeypatch.setattr(hellinger, "_BLOCK_ROWS", 16)
+        a = hellrank(g, Side.LEFT, threads=1)
+        b = hellrank(g, Side.LEFT, threads=4)
         assert a.scores == b.scores
 
-    def test_threads_deterministic_with_duplicates(self):
+    def test_threads_deterministic_with_duplicates(self, monkeypatch):
         g = class_graph(40, 5)
+        monkeypatch.setattr(hellinger, "_BLOCK_ROWS", 16)
         for mode in MODES:
-            a = hellrank(g, Side.LEFT, mode, threads=1, block=16)
-            b = hellrank(g, Side.LEFT, mode, threads=4, block=16)
+            a = hellrank(g, Side.LEFT, mode, threads=1)
+            b = hellrank(g, Side.LEFT, mode, threads=4)
             assert a.scores == b.scores
 
     def test_threads_split_a_side_of_a_few_hundred_vectors(self, monkeypatch, rng):
@@ -395,7 +404,7 @@ class TestHellRank:
         # (at most one more block's worth) and one run of formatted cells
         g = random_bipartite(np.random.default_rng(3), 1500, 1000, 0.008)
         m = distance_matrix(g, Side.LEFT)
-        block = inspect.signature(distance_matrix).parameters["block"].default
+        block = hellinger._BLOCK_ROWS
         U, mu, _, coef = m._kernel[:4]
         u, n = U.shape[0], len(m.labels)
         one_block = block * u * 8
@@ -437,10 +446,11 @@ class TestAdversarialKernel:
     cancellation fix-up, against the brute-force oracle."""
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_many_exact_duplicates(self, mode):
+    def test_many_exact_duplicates(self, mode, monkeypatch):
         g = class_graph(8, 5)
         assert_matches_oracle(g, mode)
-        m = distance_matrix(g, Side.LEFT, mode, block=3)
+        monkeypatch.setattr(hellinger, "_BLOCK_ROWS", 3)
+        m = distance_matrix(g, Side.LEFT, mode)
         assert m["c2r0", "c2r4"] == 0.0
         assert m["c2r0", "c3r0"] > 0.0
 
@@ -620,10 +630,13 @@ def csv_text(m: DistanceMatrix) -> str:
 @given(streamed_cases(), st.sampled_from([0.0, 0.1, 0.5, 0.75, 2.0, math.inf]))
 def test_streamed_matrix_equals_materialised(case, threshold):
     g, mode, weighted, block = case
-    m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, block=block)
-    # both stream before .values is first read
-    streamed_csv, streamed_cut = csv_text(m), threshold_graph(m, threshold)
-    full = DistanceMatrix(m.side, m.labels, m.values, m.mode)
+    # a function-scoped monkeypatch fixture would be shared by every example
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hellinger, "_BLOCK_ROWS", block)
+        m = distance_matrix(g, Side.LEFT, mode, weighted=weighted)
+        # both stream before .values is first read
+        streamed_csv, streamed_cut = csv_text(m), threshold_graph(m, threshold)
+        full = DistanceMatrix(m.side, m.labels, m.values, m.mode)
     assert streamed_csv == csv_text(full)
     ii, jj = np.nonzero(np.triu(full.values < threshold, 1))
     assert streamed_cut == UnipartiteGraph(m.labels, [(m.labels[i], m.labels[j]) for i, j in zip(ii, jj)])
@@ -740,7 +753,6 @@ def test_gram_blocks_match_one_scatter_per_column(budget, monkeypatch):
         columns = hellinger._columns(S)
         for lo, hi in [(0, u), *hellinger._blocks(u, 16)]:
             want = column_gram(S, lo, hi)
-            assert np.array_equal(hellinger._gram(S, lo, hi), want)
             assert np.array_equal(hellinger._gram(S, lo, hi, columns), want)
 
 
@@ -757,11 +769,12 @@ def test_bits_do_not_depend_on_block_height_or_threads(monkeypatch):
             u = distance_matrix(g, Side.LEFT, mode, weighted=weighted)._kernel[0].shape[0]
             results = []
             for block in (1, 3, 64, 128, u):
+                monkeypatch.setattr(hellinger, "_BLOCK_ROWS", block)
                 for threads in (1, 4):
-                    scores = hellrank(g, Side.LEFT, mode, weighted=weighted, threads=threads, block=block)
+                    scores = hellrank(g, Side.LEFT, mode, weighted=weighted, threads=threads)
                     for cells in (40 * n, 1):
                         monkeypatch.setattr(graph_module, "_FORMAT_BLOCK_CELLS", cells)
-                        m = distance_matrix(g, Side.LEFT, mode, weighted=weighted, block=block)
+                        m = distance_matrix(g, Side.LEFT, mode, weighted=weighted)
                         results.append((np.array(list(scores.scores.values())), csv_text(m),
                                         [threshold_graph(m, t) for t in (0.3, 0.6)]))
             first = results[0]

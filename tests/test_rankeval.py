@@ -152,6 +152,14 @@ class TestSpearmanRho:
         with pytest.raises(ValueError, match="zero variance"):
             spearman_rho(rv([1, 1, 1]), rv([1, 2, 3]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # it returned nan, where kendall_tau refuses the same vectors
+        with pytest.raises(ValueError, match="^rank vectors must be finite$"):
+            spearman_rho(rv([1, bad, 3]), rv([1, 2, 3]))
+        with pytest.raises(ValueError, match="^rank vectors must be finite$"):
+            spearman_rho(rv([1, 2, 3]), rv([3, 2, bad]))
+
 
 class TestTopK:
     def test_sums_to_k(self):
